@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import time
 from pathlib import Path
 
@@ -246,6 +247,7 @@ def main(argv=None) -> int:
     record = {
         "bench": "batched_replay",
         "generated_by": "benchmarks/bench_batched_replay.py",
+        "cpu_count": os.cpu_count() or 1,
         "sweeps": full_rows,
         "quick_sweeps": quick_rows,
         "headline_speedup": _geomean([r["speedup"] for r in full_rows]),

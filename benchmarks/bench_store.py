@@ -88,8 +88,21 @@ def _payloads(quick: bool) -> list:
 
 
 # ----------------------------------------------------------------------
-# Legacy layouts (the pre-segment write paths, reproduced exactly)
+# Legacy layouts (the pre-segment read and write paths, reproduced
+# exactly; the package itself no longer reads them)
 # ----------------------------------------------------------------------
+
+#: Header schema of the pre-segment JSONL checkpoint journal.
+LEGACY_JOURNAL_SCHEMA = "repro-sweep-checkpoint/v1"
+
+
+def _legacy_checksum(value_json: str) -> str:
+    return hashlib.sha256(value_json.encode()).hexdigest()[:16]
+
+
+def _legacy_path(cache: MemoCache, name) -> Path:
+    return cache.directory / ("%s.json" % cache.key(name, None))
+
 
 def _legacy_memo_put(directory: Path, cache: MemoCache, name, value) -> None:
     """The old MemoCache.put: a two-phase-commit JSON document per entry."""
@@ -98,19 +111,28 @@ def _legacy_memo_put(directory: Path, cache: MemoCache, name, value) -> None:
         "name": name,
         "version": cache.version,
         "value": value,
-        "checksum": MemoCache._checksum(value_json),
+        "checksum": _legacy_checksum(value_json),
     }
-    path = cache._path(name, None)
+    path = _legacy_path(cache, name)
     tmp = path.with_suffix(".tmp.%d" % os.getpid())
     with open(tmp, "w") as f:
         json.dump(document, f)
     os.replace(tmp, path)
 
 
+def _legacy_memo_get(cache: MemoCache, name):
+    """The old MemoCache.get hit path: read, parse, verify one document."""
+    document = json.loads(_legacy_path(cache, name).read_text())
+    value = document["value"]
+    if document["checksum"] != _legacy_checksum(json.dumps(value, sort_keys=True)):
+        raise AssertionError("legacy checksum mismatch for %s" % name)
+    return value
+
+
 def _legacy_journal_write(path: Path, key: str, items) -> None:
     """The old SweepCheckpoint: header + one fsync'd JSONL line per entry."""
     with open(path, "w") as f:
-        f.write(json.dumps({"schema": SweepCheckpoint.SCHEMA, "key": key}))
+        f.write(json.dumps({"schema": LEGACY_JOURNAL_SCHEMA, "key": key}))
         f.write("\n")
         f.flush()
         os.fsync(f.fileno())
@@ -124,6 +146,21 @@ def _legacy_journal_write(path: Path, key: str, items) -> None:
             f.write("\n")
             f.flush()
             os.fsync(f.fileno())
+
+
+def _legacy_journal_entries(path: Path, key: str) -> dict:
+    """The old SweepCheckpoint.entries over a JSONL journal."""
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    if header.get("schema") != LEGACY_JOURNAL_SCHEMA or header.get("key") != key:
+        return {}
+    out: dict = {}
+    for line in lines[1:]:
+        record = json.loads(line)
+        body = json.dumps(record["payload"], sort_keys=True)
+        if record["sha"] == hashlib.sha256(body.encode()).hexdigest()[:16]:
+            out[record["name"]] = record["payload"]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -150,6 +187,11 @@ def _read_all(directory: Path, names) -> list:
     return [cache.get(name) for name in names]
 
 
+def _read_all_legacy(directory: Path, names) -> list:
+    cache = MemoCache(directory, version="bench")
+    return [_legacy_memo_get(cache, name) for name in names]
+
+
 def measure(name: str, count: int, make_payload) -> dict:
     """Time write/hit/resume for one payload shape across both layouts."""
     items = [("%s-%05d" % (name, i), make_payload(i)) for i in range(count)]
@@ -172,12 +214,12 @@ def measure(name: str, count: int, make_payload) -> dict:
             "segment_s": _best(write_segment, 3),
         }
         # Both layouts must read back exactly what was written.
-        if _read_all(legacy_dir, names) != values:
+        if _read_all_legacy(legacy_dir, names) != values:
             raise AssertionError("%s: legacy layout altered a value" % name)
         if _read_all(segment_dir, names) != values:
             raise AssertionError("%s: segment layout altered a value" % name)
         hit = {
-            "legacy_s": _best(lambda: _read_all(legacy_dir, names), 3),
+            "legacy_s": _best(lambda: _read_all_legacy(legacy_dir, names), 3),
             "segment_s": _best(lambda: _read_all(segment_dir, names), 3),
         }
 
@@ -189,12 +231,13 @@ def measure(name: str, count: int, make_payload) -> dict:
             journal.append(entry_name, payload)
         journal.close()
         reference = dict(items)
-        for path in (legacy_journal, segment_journal):
-            if SweepCheckpoint(path, key="bench").entries() != reference:
-                raise AssertionError("%s: journal %s diverged" % (name, path))
+        if _legacy_journal_entries(legacy_journal, "bench") != reference:
+            raise AssertionError("%s: legacy journal diverged" % name)
+        if SweepCheckpoint(segment_journal, key="bench").entries() != reference:
+            raise AssertionError("%s: segment journal diverged" % name)
         resume = {
             "legacy_s": _best(
-                lambda: SweepCheckpoint(legacy_journal, key="bench").entries(), 3
+                lambda: _legacy_journal_entries(legacy_journal, "bench"), 3
             ),
             "segment_s": _best(
                 lambda: SweepCheckpoint(segment_journal, key="bench").entries(), 3

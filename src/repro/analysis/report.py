@@ -269,7 +269,7 @@ def render_markdown(
                 )
             lines.append("")
         if result.rows:
-            keys = list(result.rows[0].keys())
+            keys = list(dict.fromkeys(k for row in result.rows for k in row))
             lines.append("| " + " | ".join(keys) + " |")
             lines.append("|" + "---|" * len(keys))
             for row in result.rows:

@@ -92,9 +92,8 @@ def _add_cache_batch_flag(parser) -> None:
     parser.add_argument(
         "--cache-flush-every", type=int, default=None, metavar="N",
         help="buffer N memo entries per segment flush (default 1: each "
-        "entry is written through immediately, like the legacy "
-        "file-per-entry cache; larger values batch N entries per blob "
-        "write)",
+        "entry is written through immediately; larger values batch N "
+        "entries per blob write)",
     )
 
 
@@ -479,14 +478,12 @@ def _cmd_cache(args) -> int:
             print("error: %s" % exc, file=sys.stderr)
             return 2
         print(
-            "compacted %s: %d live entries (%d segment(s) merged, "
-            "%d legacy file(s) folded), %d file(s) removed, "
-            "%d quarantined, %d aged file(s) pruned"
+            "compacted %s: %d live entries (%d segment(s) merged), "
+            "%d file(s) removed, %d quarantined, %d aged file(s) pruned"
             % (
                 cache.directory,
                 stats.entries,
                 stats.segments_merged,
-                stats.legacy_folded,
                 stats.files_removed,
                 stats.quarantined,
                 stats.pruned,
@@ -855,8 +852,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_cmd.add_argument(
         "action", choices=["compact", "clear", "prune"],
-        help="compact: rewrite all live entries (segments + legacy "
-        "files) into one fresh segment, quarantining corrupt blobs; "
+        help="compact: rewrite all live entries into one fresh "
+        "segment, quarantining corrupt blobs; "
         "clear: delete everything; prune: remove aged foreign-version "
         "files and debris",
     )

@@ -19,9 +19,8 @@ cost N buffered appends and a handful of file opens instead of N
 open/write/rename round trips.  The torn-write contract is unchanged: a
 corrupted entry (checksum mismatch) is counted as ``core.memo.corrupt``
 and never returned, and a truncated flush loses only its own uncommitted
-tail.  The pre-segment layout — one ``<key>.json`` document per entry —
-is still read transparently, and :meth:`MemoCache.compact` folds legacy
-files, quarantine debris, and accumulated blobs into one fresh segment.
+tail.  :meth:`MemoCache.compact` folds quarantine debris and
+accumulated blobs into one fresh segment.
 """
 
 from __future__ import annotations
@@ -135,63 +134,23 @@ class MemoCache:
     def key(self, name: str, config=None) -> str:
         return memo_key(name, config, self.version)
 
-    def _path(self, name: str, config) -> Path:
-        """The legacy (pre-segment) per-entry document path."""
-        return self.directory / ("%s.json" % self.key(name, config))
-
-    @staticmethod
-    def _checksum(value_json: str) -> str:
-        return hashlib.sha256(value_json.encode()).hexdigest()[:16]
-
     def get(self, name: str, config=None, default=None):
         """The cached value for (name, config) at this code version.
 
-        A corrupted entry (checksum mismatch, in a segment or a legacy
-        document) is never returned as a value: it is counted as
-        ``core.memo.corrupt`` — distinct from an honest miss — and made
-        permanently invisible (legacy documents are quarantined to
-        ``<entry>.corrupt`` immediately; a bad segment frame hides its
-        entry at once and :meth:`compact` quarantines the blob), so a
-        torn write from a dead worker cannot poison later runs.
+        A corrupted entry (segment checksum mismatch) is never returned
+        as a value: it is counted as ``core.memo.corrupt`` — distinct
+        from an honest miss — and made permanently invisible (a bad
+        frame hides its entry at once and :meth:`compact` quarantines
+        the blob), so a torn write from a dead worker cannot poison
+        later runs.
         """
         counters = get_recorder().counters
         value = self._store.get(self.key(name, config), _MISS)
-        if value is not _MISS:
-            counters.add("core.memo.hits", 1)
-            return value
-        return self._get_legacy(name, config, default)
-
-    def _get_legacy(self, name: str, config, default):
-        """Read-transparency for the pre-segment one-file-per-entry layout."""
-        counters = get_recorder().counters
-        path = self._path(name, config)
-        try:
-            raw = path.read_text()
-        except OSError:
+        if value is _MISS:
             counters.add("core.memo.misses", 1)
-            return default
-        try:
-            document = json.loads(raw)
-            value = document["value"]
-            stored = document["checksum"]
-            recomputed = self._checksum(json.dumps(value, sort_keys=True))
-            if stored != recomputed:
-                raise ValueError(
-                    "checksum mismatch: %s != %s" % (stored, recomputed)
-                )
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            counters.add("core.memo.corrupt", 1)
             return default
         counters.add("core.memo.hits", 1)
         return value
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a bad entry aside so it is inspectable but never reread."""
-        try:
-            os.replace(path, path.with_suffix(".corrupt"))
-        except OSError:
-            pass
 
     def put(self, name: str, value, config=None) -> Path:
         """Store a JSON-serializable value; returns the segment path.
@@ -219,9 +178,9 @@ class MemoCache:
         files) were removed.
 
         Sweeps everything the cache can own: segment blobs (counted by
-        the committed entries inside them), legacy per-entry documents,
-        quarantined ``*.corrupt`` entries, and stale ``*.tmp.<pid>``
-        files from workers that died mid-write.
+        the committed entries inside them), quarantined ``*.corrupt``
+        entries, and stale ``*.tmp.<pid>`` files from workers that died
+        mid-write.
         """
         removed = 0
         self._store.discard()
@@ -232,7 +191,7 @@ class MemoCache:
                     path.unlink()
                 except OSError:
                     removed -= 1
-            for pattern in ("*.json", "*.corrupt", "*.tmp.*"):
+            for pattern in ("*.corrupt", "*.tmp.*"):
                 for path in self.directory.glob(pattern):
                     try:
                         path.unlink()
@@ -257,33 +216,19 @@ class MemoCache:
     def prune(self, max_age_days: float = 30.0) -> int:
         """Remove files from old code versions, plus aged debris.
 
-        A legacy document or segment blob keyed by a different version
-        is unreachable (the key embeds the version) and only wastes
-        disk; it is deleted once older than ``max_age_days``, as are
-        ``*.corrupt`` quarantine files and stale ``*.tmp.*`` files past
-        the cutoff.  Current-version files are never pruned.  Returns
-        how many files were removed.  (:meth:`compact` subsumes this
-        *and* rewrites current-version data; ``prune`` alone never
-        touches live entries or legacy documents it can still read.)
+        A segment blob keyed by a different version is unreachable (the
+        key embeds the version) and only wastes disk; it is deleted once
+        older than ``max_age_days``, as are ``*.corrupt`` quarantine
+        files and stale ``*.tmp.*`` files past the cutoff.
+        Current-version blobs are never pruned.  Returns how many files
+        were removed.  (:meth:`compact` subsumes this *and* rewrites
+        current-version data; ``prune`` alone never touches live
+        entries.)
         """
         if not self.directory.is_dir():
             return 0
         cutoff = time.time() - max_age_days * 86400.0
         removed = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                if path.stat().st_mtime >= cutoff:
-                    continue
-                version = json.loads(path.read_text()).get("version")
-            except (OSError, ValueError, AttributeError):
-                version = None
-            if version == self.version:
-                continue
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
         for path in self.directory.glob("*.seg"):
             try:
                 if path.stat().st_mtime >= cutoff:
@@ -334,55 +279,14 @@ class MemoCache:
     def compact(self, max_age_days: float | None = None) -> CompactionStats:
         """Rewrite the cache as one fresh segment, folding in the chores.
 
-        Every live current-version entry — from segment blobs *and*
-        from readable legacy per-entry documents — is rewritten into a
-        single new blob; the merged blobs and folded legacy files are
-        removed, blobs that held corrupt/torn frames are quarantined to
-        ``*.corrupt`` (like a corrupt legacy document always was), and
-        an unreadable legacy document is quarantined on the spot.  With
-        ``max_age_days``, aged foreign-version files and debris are
+        Every live current-version entry is rewritten into a single new
+        blob; the merged blobs are removed, and blobs that held
+        corrupt/torn frames are quarantined to ``*.corrupt``.  With
+        ``max_age_days``, aged foreign-version blobs and debris are
         pruned as :meth:`prune` would.  Safe under concurrent writers:
         compactors serialize on a cross-process lock
         (:class:`~repro.core.store.CompactionBusy` when contended) and
         blobs a live writer owns are skipped, not rewritten.  Returns
         the :class:`~repro.core.store.CompactionStats`.
         """
-        legacy: dict = {}
-        remove: list = []
-        pruned_json = 0
-        if self.directory.is_dir():
-            for path in sorted(self.directory.glob("*.json")):
-                try:
-                    document = json.loads(path.read_text())
-                    version = document["version"]
-                    value = document["value"]
-                    checksum = document["checksum"]
-                except (OSError, ValueError, KeyError, TypeError):
-                    self._quarantine(path)
-                    self._count("corrupt")
-                    continue
-                if version != self.version:
-                    continue  # left for the age-prune below
-                if checksum != self._checksum(
-                    json.dumps(value, sort_keys=True)
-                ):
-                    self._quarantine(path)
-                    self._count("corrupt")
-                    continue
-                legacy[path.stem] = value
-                remove.append(path)
-        stats = self._store.compact(
-            max_age_days=max_age_days, extra_entries=legacy, remove_paths=remove
-        )
-        if max_age_days is not None:
-            cutoff = time.time() - max_age_days * 86400.0
-            for path in self.directory.glob("*.json"):
-                try:
-                    if path.stat().st_mtime < cutoff:
-                        path.unlink()
-                        pruned_json += 1
-                except OSError:
-                    pass
-            stats.pruned += pruned_json
-            stats.files_removed += pruned_json
-        return stats
+        return self._store.compact(max_age_days=max_age_days)

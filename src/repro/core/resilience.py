@@ -19,8 +19,7 @@ retry — never the sweep.  This module is the resilience layer under
 * :class:`SweepCheckpoint` — an append-only, fsync'd journal of
   completed results keyed by config+code-version hash (like
   :class:`repro.core.memo.MemoCache`), stored as one
-  :mod:`repro.core.store` segment blob (legacy JSONL journals are read
-  and migrated transparently), so an interrupted sweep resumed with
+  :mod:`repro.core.store` segment blob, so an interrupted sweep resumed with
   ``--resume`` reproduces the uninterrupted result bit-for-bit;
 * :func:`maybe_inject_fault` — the chaos hook the fault-injection test
   harness (and CI's chaos smoke step) uses to crash/hang/fail specific
@@ -461,7 +460,7 @@ class ResilientMap:
 
 
 # ----------------------------------------------------------------------
-# Sweep checkpoints: append-only JSONL journal with resume
+# Sweep checkpoints: append-only segment journal with resume
 # ----------------------------------------------------------------------
 
 def sweep_key(config=None) -> str:
@@ -491,13 +490,8 @@ class SweepCheckpoint:
 
     A journal whose header key does not match (stale code or different
     config) is rotated aside to ``<path>.stale`` rather than mixed into
-    the new run.  Pre-segment journals — the original fsync-per-line
-    JSONL layout — are still read transparently, and the first
-    :meth:`append` migrates a matching one to the segment format in a
-    single atomic rewrite.
+    the new run; so is anything else that is not a segment blob.
     """
-
-    SCHEMA = "repro-sweep-checkpoint/v1"
 
     def __init__(self, path: str | Path, key: str):
         self.path = Path(path)
@@ -524,8 +518,7 @@ class SweepCheckpoint:
 
         Torn or corrupted frames are dropped (counted as
         ``core.resilience.checkpoint.torn``); a missing file or a key
-        mismatch yields no entries.  Legacy JSONL journals are parsed
-        in place without being rewritten.
+        mismatch yields no entries.
         """
         from repro.core.store import SegmentReader
 
@@ -535,8 +528,6 @@ class SweepCheckpoint:
                 self._reader = SegmentReader(self.path, count=self._count)
             self._reader.refresh()
             return self._reader.entries()
-        if kind == "legacy":
-            return self._legacy_entries()
         return {}
 
     def close(self) -> None:
@@ -547,12 +538,12 @@ class SweepCheckpoint:
 
     # ------------------------------------------------------------------
     def _classify(self) -> str:
-        """What lives at ``path``: absent | segment | legacy | foreign.
+        """What lives at ``path``: absent | segment | foreign.
 
-        Only the first line is read, so classification (and therefore
-        every append) stays O(1) I/O regardless of journal length.
+        Only the header is read, so classification (and therefore every
+        append) stays O(1) I/O regardless of journal length.
         ``foreign`` covers everything that must be rotated aside before
-        writing: mismatched keys, other schemas, garbage.
+        writing: mismatched keys, other layouts, garbage.
         """
         from repro.core.store import peek_key
 
@@ -561,18 +552,7 @@ class SweepCheckpoint:
                 return "absent"
         except OSError:
             return "absent"
-        segment_key = peek_key(self.path)
-        if segment_key == self.key:
-            return "segment"
-        if segment_key is None:
-            try:
-                with open(self.path, "rb") as f:
-                    header = json.loads(f.readline(1 << 16))
-            except (OSError, ValueError):
-                header = None
-            if isinstance(header, dict) and header.get("schema") == self.SCHEMA:
-                return "legacy" if header.get("key") == self.key else "foreign"
-        return "foreign"
+        return "segment" if peek_key(self.path) == self.key else "foreign"
 
     def _ensure_writer(self) -> None:
         from repro.core.store import SegmentReader, SegmentWriter
@@ -586,9 +566,6 @@ class SweepCheckpoint:
                 self.path, self.path.with_suffix(self.path.suffix + ".stale")
             )
             kind = "absent"
-        if kind == "legacy":
-            self._writer = self._migrate_legacy()
-            return
         self._writer = SegmentWriter(self.path, self.key, count=self._count)
         if kind == "segment":
             if self._reader is None:
@@ -599,54 +576,6 @@ class SweepCheckpoint:
             self._reader = None
         else:
             self._writer.open()
-
-    def _migrate_legacy(self):
-        """Rewrite a matching legacy JSONL journal as one segment blob.
-
-        The new blob is built beside the journal and swapped in with
-        ``os.replace``, so a crash mid-migration leaves the legacy file
-        intact; the returned writer keeps appending to the swapped-in
-        blob.  Counts one checkpoint write for the fold-in chunk.
-        """
-        from repro.core.store import SegmentWriter
-
-        entries = self._legacy_entries()
-        tmp = self.path.with_suffix(self.path.suffix + ".migrate.%d" % os.getpid())
-        writer = SegmentWriter(tmp, self.key, count=self._count)
-        writer.open()
-        if entries:
-            writer.append_chunk(entries.items(), fsync=True)
-        os.replace(tmp, self.path)
-        writer.fsync()
-        writer.path = self.path  # the fd survives the rename
-        return writer
-
-    def _legacy_entries(self) -> dict:
-        counters = get_recorder().counters
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return {}
-        out: dict = {}
-        for line in lines[1:]:
-            record = self._parse_legacy_record(line)
-            if record is None:
-                counters.add("core.resilience.checkpoint.torn", 1)
-                continue
-            out[record["name"]] = record["payload"]
-        return out
-
-    @staticmethod
-    def _parse_legacy_record(line: str):
-        try:
-            record = json.loads(line)
-            body = json.dumps(record["payload"], sort_keys=True)
-            if record["sha"] != hashlib.sha256(body.encode()).hexdigest()[:16]:
-                return None
-            record["name"]
-        except (ValueError, KeyError, TypeError):
-            return None
-        return record
 
 
 # ----------------------------------------------------------------------

@@ -644,9 +644,10 @@ class ConfigSweep:
     With ``jobs > 1`` the batch plan itself is sharded across pool
     workers (:func:`repro.sim.batch.plan_shards`): each worker opens the
     on-disk artifact by path + content hash (memory-mapped — the trace
-    is never pickled) and evaluates its shard through the same
-    pour-and-``_finish`` path, so parallel rows are bit-identical to
-    the single-process batch and to serial replay.  An in-memory
+    is never pickled) and evaluates its shard through the same shared
+    passes and per-config finish as :func:`repro.sim.batch.sweep_batch`,
+    so parallel rows are bit-identical to the single-process batch and
+    to serial replay.  An in-memory
     artifact is auto-saved to ``trace_dir`` first.
 
     Resilience composes as in :class:`ExperimentRunner`: a checkpoint

@@ -292,6 +292,9 @@ class WorkerServer(ThreadingHTTPServer):
             flush=True,
         )
         self.shutdown()
+        # Refuse later connections at once instead of leaving them
+        # queued on a socket nobody accepts from.
+        self.server_close()
 
 
 def write_port_file(path, port: int) -> None:

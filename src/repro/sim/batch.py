@@ -23,10 +23,12 @@ between configurations:
   only latency events, with the *same float expressions in the same
   order* as the serial engine.
 
-After the passes each config's end state (the final OrderedDicts) is
-poured into a real :class:`~repro.sim.cache.CacheHierarchy` and finished
-through the *serial* ``_finish`` — same flush order, same strict
-accounting checks, same published counters — which is why
+After the passes each config finishes straight from its shared pass
+state (:func:`_finish_config`), without building a
+:class:`~repro.sim.cache.CacheHierarchy` and without mutating the
+passes, which other configs and the timing engine share.  Its strict
+conservation checks and ``sim.cache.*`` counters go through
+``CacheHierarchy._account``, the same code the serial ``_finish`` runs.
 :func:`replay_batch` and :func:`replay_timing_batch` are bit-identical
 per config to serial ``replay_fast`` (property-tested in
 ``tests/sim/test_replay_batch.py``).  :func:`sweep_batch` evaluates both
@@ -85,21 +87,26 @@ class _L1Pass:
     lines, kinds, and fetch positions): two L1 geometries whose streams
     collide — common in sweeps, e.g. every geometry too small for the
     working set misses identically — share LLC passes and timing event
-    loops downstream.
+    loops downstream.  ``dirty_lines`` are the lines still dirty at the
+    end, in serial flush order (sets ascending, LRU to MRU in a set).
     """
 
     __slots__ = (
-        "acc", "hits", "miss", "wb", "sets", "ev_lines", "ev_is_wb",
+        "acc", "hits", "miss", "wb", "dirty_lines", "ev_lines", "ev_is_wb",
         "fetch_runs", "stream_key",
     )
 
 
 class _LlcPass:
-    """One (L1 geometry, LLC geometry) pair's replay of the event stream."""
+    """One (L1 geometry, LLC geometry) pair's replay of the event stream.
+
+    ``sets`` holds ``None`` for a set no event touched; ``dirty`` counts
+    the dirty lines left at the end.
+    """
 
     __slots__ = (
         "acc", "hits", "miss", "wb", "dram_reads", "dram_writes", "sets",
-        "fetch_hits",
+        "dirty", "fetch_hits",
     )
 
 
@@ -193,7 +200,13 @@ class _SharedOutcomes:
             r += 1
         pass_ = _L1Pass()
         pass_.acc, pass_.hits, pass_.miss, pass_.wb = acc, hits, miss, wb
-        pass_.sets = sets
+        pass_.dirty_lines = [
+            tag * num_sets + set_idx
+            for set_idx, od in enumerate(sets)
+            if od
+            for tag, dirty in od.items()
+            if dirty
+        ]
         pass_.ev_lines = np.array(ev_lines, dtype=np.int64)
         pass_.ev_is_wb = ev_is_wb
         pass_.fetch_runs = np.array(fetch_runs, dtype=np.int64)
@@ -208,23 +221,30 @@ class _SharedOutcomes:
 
         Writeback-installs are write-allocate (the install is dirty and
         the fill a DRAM read); fetches install clean.  Per fetch the LLC
-        hit outcome is recorded for the timing engine.
+        hit outcome is recorded for the timing engine.  A set's
+        OrderedDict is allocated on first touch.  Every dirty eviction
+        is a writeback, so the dirty lines left at the end are the
+        clean-to-dirty marks minus ``wb``.
         """
         setv = (l1_pass.ev_lines % num_sets).tolist()
         tagv = (l1_pass.ev_lines // num_sets).tolist()
-        sets = [OrderedDict() for _ in range(num_sets)]
-        acc = hits = miss = wb = 0
+        sets = [None] * num_sets
+        acc = hits = miss = wb = marks = 0
         dram_reads = dram_writes = 0
         fetch_hits: list[bool] = []
         append_hit = fetch_hits.append
         for set_idx, tag, is_wb in zip(setv, tagv, l1_pass.ev_is_wb):
             od = sets[set_idx]
+            if od is None:
+                od = sets[set_idx] = OrderedDict()
             acc += 1
             if is_wb:
                 if tag in od:
                     hits += 1
                     od.move_to_end(tag)
-                    od[tag] = True
+                    if not od[tag]:
+                        od[tag] = True
+                        marks += 1
                 else:
                     miss += 1
                     if len(od) >= assoc:
@@ -233,6 +253,7 @@ class _SharedOutcomes:
                             wb += 1
                             dram_writes += 1
                     od[tag] = True
+                    marks += 1
                     dram_reads += 1
             elif tag in od:
                 hits += 1
@@ -252,6 +273,7 @@ class _SharedOutcomes:
         pass_.acc, pass_.hits, pass_.miss, pass_.wb = acc, hits, miss, wb
         pass_.dram_reads, pass_.dram_writes = dram_reads, dram_writes
         pass_.sets = sets
+        pass_.dirty = marks - wb
         pass_.fetch_hits = fetch_hits
         return pass_
 
@@ -289,38 +311,71 @@ class _SharedOutcomes:
         return cached
 
 
-def _pour_stats(
+def _finish_config(
     soc, l1_pass, llc_pass, num_accesses, flush, instructions_hint,
     recorder, strict,
 ) -> HierarchyStats:
-    """Pour one config's end state into a real hierarchy and finish it.
+    """One config's stats, finished straight from its shared passes.
 
-    The OrderedDicts' insertion order is the serial recency order (the
-    passes replay the serial op sequence), so the flush walk and strict
-    accounting in ``_finish`` see exactly the serial end state.  Each
-    config gets copies: flush mutates, and configs share pass objects.
+    Equals ``CacheHierarchy._finish`` on the serial end state.  The L1
+    flush installs the L1 pass's dirty lines, in serial flush order,
+    write-allocate into copies of the LLC sets they touch; the LLC
+    flush then writes back every line still dirty, counted as the LLC
+    pass's ``dirty`` corrected by the touched sets.  The pass objects
+    are shared between configs and engines, so they are only read.
     """
-    hierarchy = CacheHierarchy(soc)
-    for pass_, cache in ((l1_pass, hierarchy.l1), (llc_pass, hierarchy.llc)):
-        dst_sets = cache._sets
-        for s, od in enumerate(pass_.sets):
-            if od:
-                dst_sets[s].update(od)
-        cache.stats = CacheStats(
-            accesses=pass_.acc,
-            hits=pass_.hits,
-            misses=pass_.miss,
-            writebacks=pass_.wb,
-        )
-    hierarchy.dram_line_reads = llc_pass.dram_reads
-    hierarchy.dram_line_writes = llc_pass.dram_writes
-    return hierarchy._finish(
-        num_accesses,
-        flush,
-        instructions_hint,
-        recorder,
-        before=(0,) * len(CacheHierarchy._COUNTER_NAMES),
-        strict=strict,
+    l1_wb = l1_pass.wb
+    llc_acc, llc_hits, llc_miss, llc_wb = (
+        llc_pass.acc, llc_pass.hits, llc_pass.miss, llc_pass.wb,
+    )
+    dram_reads, dram_writes = llc_pass.dram_reads, llc_pass.dram_writes
+    if flush:
+        num_sets, assoc = soc.l2.num_sets, soc.l2.associativity
+        shared_sets = llc_pass.sets
+        touched = {}
+        dirty = llc_pass.dirty
+        l1_wb += len(l1_pass.dirty_lines)
+        for line in l1_pass.dirty_lines:
+            set_idx = line % num_sets
+            tag = line // num_sets
+            od = touched.get(set_idx)
+            if od is None:
+                shared = shared_sets[set_idx]
+                od = touched[set_idx] = (
+                    OrderedDict() if shared is None else shared.copy()
+                )
+            llc_acc += 1
+            if tag in od:
+                llc_hits += 1
+                od.move_to_end(tag)
+                if not od[tag]:
+                    od[tag] = True
+                    dirty += 1
+                continue
+            llc_miss += 1
+            if len(od) >= assoc:
+                _, victim_dirty = od.popitem(last=False)
+                if victim_dirty:
+                    llc_wb += 1
+                    dram_writes += 1
+                    dirty -= 1
+            od[tag] = True
+            dirty += 1
+            dram_reads += 1
+        llc_wb += dirty
+        dram_writes += dirty
+    deltas = (
+        l1_pass.acc, l1_pass.hits, l1_pass.miss, l1_wb,
+        llc_acc, llc_hits, llc_miss, llc_wb,
+        dram_reads, dram_writes,
+    )
+    CacheHierarchy._account(num_accesses, deltas, recorder, strict)
+    return HierarchyStats(
+        l1=CacheStats(*deltas[:4]),
+        llc=CacheStats(*deltas[4:8]),
+        dram_line_reads=dram_reads,
+        dram_line_writes=dram_writes,
+        instructions_hint=instructions_hint or float(num_accesses),
     )
 
 
@@ -361,7 +416,7 @@ def _hierarchy_results(
             num_accesses, outcomes.run_lines, outcomes.run_counts
         )
     return [
-        _pour_stats(
+        _finish_config(
             soc,
             outcomes.l1(soc.l1),
             outcomes.llc(soc.l1, soc.l2),
@@ -558,8 +613,8 @@ class ShardEvaluator:
     trace and reuses it across every shard dispatched to the worker, so
     shards sharing an L1 geometry (a split group) share passes exactly
     like the single-process engine.  Results flow through the same
-    ``_hierarchy_results`` / ``_timing_results`` pour-and-``_finish``
-    path as :func:`sweep_batch`, so per-config stats, timings, and
+    ``_hierarchy_results`` / ``_timing_results`` per-config finish as
+    :func:`sweep_batch`, so per-config stats, timings, and
     published ``sim.cache.*`` / ``sim.timing.*`` counters are
     bit-identical to it (and therefore to serial replay).
 

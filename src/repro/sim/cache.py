@@ -391,18 +391,20 @@ class CacheHierarchy:
             "consecutive runs share a cache line",
         )
 
-    def _check_accounting(self, num_accesses: int, before: tuple) -> None:
-        """Strict-mode conservation laws over this replay's stat deltas.
+    @staticmethod
+    def _check_accounting(num_accesses: int, deltas: tuple) -> None:
+        """Strict-mode conservation laws over one replay's counter deltas.
 
-        Computed as deltas so replays accumulating on a shared hierarchy
-        are each checked in isolation.
+        ``deltas`` is in :attr:`_COUNTER_NAMES` order.  The serial finish
+        passes its after-minus-before state, so replays accumulating on a
+        shared hierarchy are each checked in isolation; the batch finish
+        (:mod:`repro.sim.batch`) passes one config's totals.
         """
-        after = self._counter_state()
         (
             l1_acc, l1_hit, l1_miss, l1_wb,
             llc_acc, llc_hit, llc_miss, llc_wb,
             dram_reads, dram_writes,
-        ) = tuple(now - prior for prior, now in zip(before, after))
+        ) = deltas
         invariant(
             l1_hit + l1_miss == l1_acc,
             "cache.l1.accounting",
@@ -433,6 +435,24 @@ class CacheHierarchy:
             % (dram_reads, dram_writes, llc_miss, llc_wb),
         )
 
+    @classmethod
+    def _account(
+        cls, num_accesses: int, deltas: tuple, recorder, strict: bool
+    ) -> None:
+        """Check (strict) and publish one replay's counter deltas.
+
+        The registry gets this replay's *delta*, never the cumulative
+        state: stats accumulate across replays on the same hierarchy.
+        """
+        if strict:
+            cls._check_accounting(num_accesses, deltas)
+        if recorder is not None and recorder.enabled:
+            counters = recorder.counters
+            for name, delta in zip(cls._COUNTER_NAMES, deltas):
+                counters.add(name, delta)
+            counters.add("sim.cache.replays", 1)
+            counters.add("sim.cache.trace_accesses", num_accesses)
+
     def _finish(
         self,
         num_accesses: int,
@@ -444,19 +464,11 @@ class CacheHierarchy:
     ) -> HierarchyStats:
         if flush:
             self.flush()
-        if strict and before is not None:
-            self._check_accounting(num_accesses, before)
-        if recorder is not None and recorder.enabled:
-            # Publish this replay's *delta* (the stats objects accumulate
-            # across replays on the same hierarchy; the registry must not
-            # double-count earlier replays).
-            counters = recorder.counters
-            after = self._counter_state()
-            base = before if before is not None else (0,) * len(after)
-            for name, prior, current in zip(self._COUNTER_NAMES, base, after):
-                counters.add(name, current - prior)
-            counters.add("sim.cache.replays", 1)
-            counters.add("sim.cache.trace_accesses", num_accesses)
+        if before is not None:
+            deltas = tuple(
+                now - prior for prior, now in zip(before, self._counter_state())
+            )
+            self._account(num_accesses, deltas, recorder, strict)
         return HierarchyStats(
             l1=self.l1.stats,
             llc=self.llc.stats,

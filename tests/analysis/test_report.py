@@ -43,6 +43,24 @@ class TestReport:
         assert "## Figure 1" in md
         assert "| anchor | paper | measured |" in md
 
+    def test_every_row_value_survives_rendering(self):
+        rows = [
+            {"workload": "alpha", "score": 0.125},
+            {"app": "beta", "speedup": 7, "score": 0.25},
+            {"app": "gamma", "energy": "low"},
+        ]
+        md = render_markdown([FigureResult("Figure H", "t", rows=rows)])
+        section = md.split("## Figure H — t\n", 1)[1].strip().split("\n\n")[0]
+        header, rule, *body = section.splitlines()
+        assert rule == "|---|---|---|---|---|"
+        # Header: the union of row keys, in first-seen order.
+        assert header == "| workload | score | app | speedup | energy |"
+        assert body == [
+            "| alpha | 0.125 |  |  |  |",
+            "|  | 0.250 | beta | 7 |  |",
+            "|  |  | gamma |  | low |",
+        ]
+
     def test_write_experiments_md(self, tmp_path):
         # Use a cheap subset by writing only the header-rendering path:
         # full generation is exercised (and asserted) in test_figures.

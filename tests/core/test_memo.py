@@ -1,5 +1,6 @@
 """Unit tests for the content-keyed memo cache."""
 
+import hashlib
 import json
 import os
 import time
@@ -71,27 +72,13 @@ class TestMemoCache:
         assert MemoCache(tmp_path, version="v1").get("fig3") == {"i": 3}
 
 
-def write_legacy_entry(cache, name, value, config=None):
-    """A pre-segment one-file-per-entry document, as the old put() wrote."""
-    path = cache._path(name, config)
-    value_json = json.dumps(value, sort_keys=True)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({
-        "name": name,
-        "version": cache.version,
-        "value": value,
-        "checksum": MemoCache._checksum(value_json),
-    }))
-    return path
-
-
 class TestMixedLayoutMaintenance:
-    """clear()/prune()/compact() over a directory holding every layout at
-    once: legacy documents, segment blobs, and crash debris."""
+    """clear()/prune()/compact() over a directory holding every kind of
+    file at once: current-version blobs, a foreign-version blob, and
+    crash debris."""
 
     def _mixed_dir(self, tmp_path):
         cache = MemoCache(tmp_path, version="v1")
-        legacy = write_legacy_entry(cache, "old-fig", {"legacy": True})
         cache.put("seg-fig", {"segment": 1})
         cache.put("seg-fig2", {"segment": 2})
         cache.close()
@@ -99,92 +86,69 @@ class TestMixedLayoutMaintenance:
         other.put("seg-fig3", {"segment": 3})
         other.close()
         foreign = MemoCache(tmp_path, version="v0")
-        foreign_legacy = write_legacy_entry(foreign, "bygone", {"x": 0})
         foreign.put("bygone-seg", {"x": 0})
         foreign_blob = foreign._store.segment_path()
         foreign.close()
         debris = [tmp_path / "dead.tmp.12345", tmp_path / "old.corrupt"]
         for path in debris:
             path.write_text("{")
-        return cache, legacy, foreign_legacy, foreign_blob, debris
+        return cache, foreign_blob, debris
 
-    def test_legacy_document_is_read_transparently(self, tmp_path):
+    def test_pre_segment_document_is_ignored(self, tmp_path):
+        """The one-JSON-file-per-entry layout is no longer read."""
         cache = MemoCache(tmp_path, version="v1")
-        write_legacy_entry(cache, "old-fig", {"legacy": True}, config={"q": 8})
-        assert cache.get("old-fig", config={"q": 8}) == {"legacy": True}
+        checksum = hashlib.sha256(b"1").hexdigest()[:16]
+        (tmp_path / ("%s.json" % cache.key("old-fig"))).write_text(
+            json.dumps({"version": "v1", "value": 1, "checksum": checksum})
+        )
+        assert cache.get("old-fig") is None
 
     def test_compact_folds_all_three_layouts_with_counts(self, tmp_path):
-        cache, legacy, foreign_legacy, foreign_blob, debris = self._mixed_dir(
-            tmp_path
-        )
+        cache, foreign_blob, debris = self._mixed_dir(tmp_path)
         stats = cache.compact()
-        assert stats.entries == 4  # 3 segment entries + 1 folded legacy
-        assert stats.legacy_folded == 1
+        assert stats.entries == 3
         assert stats.segments_merged == 2
         assert stats.quarantined == 0
-        assert not legacy.exists()  # folded into the fresh segment
         # Everything live survives under the one remaining v1 blob.
         blobs = [
             p for p in tmp_path.glob("memo-*.seg") if peek_key(p) == "v1"
         ]
         assert len(blobs) == 1
         fresh = MemoCache(tmp_path, version="v1")
-        assert fresh.get("old-fig") == {"legacy": True}
         for i, name in enumerate(("seg-fig", "seg-fig2", "seg-fig3")):
             assert fresh.get(name) == {"segment": i + 1}
         # Foreign-version files and debris are untouched without an age.
-        assert foreign_legacy.exists()
         assert foreign_blob.exists()
         assert all(path.exists() for path in debris)
 
     def test_compact_with_age_also_prunes_foreign_and_debris(self, tmp_path):
-        cache, legacy, foreign_legacy, foreign_blob, debris = self._mixed_dir(
-            tmp_path
-        )
+        cache, foreign_blob, debris = self._mixed_dir(tmp_path)
         ancient = time.time() - 90 * 86400
-        for path in [foreign_legacy, foreign_blob] + debris:
+        for path in [foreign_blob] + debris:
             os.utime(path, (ancient, ancient))
         stats = cache.compact(max_age_days=30)
-        assert stats.entries == 4
-        assert stats.pruned == 4  # foreign doc + foreign blob + 2 debris
-        assert not foreign_legacy.exists()
+        assert stats.entries == 3
+        assert stats.pruned == 3  # foreign blob + 2 debris
         assert not foreign_blob.exists()
         assert not any(path.exists() for path in debris)
-        assert MemoCache(tmp_path, version="v1").get("old-fig") == {
-            "legacy": True
+        assert MemoCache(tmp_path, version="v1").get("seg-fig") == {
+            "segment": 1
         }
 
-    def test_compact_quarantines_corrupt_legacy_documents(self, tmp_path):
-        cache = MemoCache(tmp_path, version="v1")
-        bad = write_legacy_entry(cache, "bad", {"x": 1})
-        raw = json.loads(bad.read_text())
-        raw["value"] = {"x": 2}  # checksum now lies
-        bad.write_text(json.dumps(raw))
-        cache.put("good", {"ok": True})
-        stats = cache.compact()
-        assert stats.entries == 1  # only the good entry survives
-        assert stats.legacy_folded == 0
-        assert not bad.exists()
-        assert bad.with_suffix(".corrupt").exists()
-        assert MemoCache(tmp_path, version="v1").get("bad") is None
-
     def test_clear_counts_entries_and_debris_across_layouts(self, tmp_path):
-        cache, _, _, _, _ = self._mixed_dir(tmp_path)
-        # 1 legacy doc + 3 v1 segment entries + 1 foreign legacy doc
-        # + 1 foreign blob (opaque: counts as one file) + 2 debris files.
-        assert cache.clear() == 8
+        cache, _, _ = self._mixed_dir(tmp_path)
+        # 3 v1 segment entries + 1 foreign blob (opaque: counts as one
+        # file) + 2 debris files.
+        assert cache.clear() == 6
         assert list(tmp_path.iterdir()) == []
         assert cache.get("seg-fig") is None
 
     def test_prune_spares_current_layouts_whatever_their_age(self, tmp_path):
-        cache, legacy, foreign_legacy, foreign_blob, debris = self._mixed_dir(
-            tmp_path
-        )
+        cache, foreign_blob, debris = self._mixed_dir(tmp_path)
         ancient = time.time() - 90 * 86400
         for path in tmp_path.iterdir():
             os.utime(path, (ancient, ancient))
         removed = cache.prune(max_age_days=30)
-        assert removed == 4  # foreign doc + foreign blob + 2 debris
-        assert legacy.exists()
+        assert removed == 3  # foreign blob + 2 debris
+        assert not foreign_blob.exists()
         assert cache.get("seg-fig") == {"segment": 1}
-        assert cache.get("old-fig") == {"legacy": True}

@@ -16,8 +16,6 @@ CI runs this file under ``REPRO_STRICT=1`` as well, so every test that
 *expects* quarantine-instead-of-raise pins ``strict_mode(False)``.
 """
 
-import hashlib
-import itertools
 import json
 import multiprocessing
 import os
@@ -36,7 +34,6 @@ from repro.core.resilience import (
     RetryPolicy,
     SweepCheckpoint,
     TargetFailure,
-    comparison_to_jsonable,
     sweep_key,
 )
 from repro.core.runner import ExperimentRunner, SweepResult, _init_worker
@@ -581,44 +578,24 @@ class TestCheckpointResume:
             ExperimentRunner().evaluate(sweep_targets(2), checkpoint=journal)
         assert rec.counters.get("core.resilience.checkpoint.writes") == 2
 
-    def test_resume_from_legacy_jsonl_journal_bit_identical(
-        self, tmp_path, monkeypatch, baseline
-    ):
-        """The migration path: a pre-segment JSONL journal resumes a
-        sweep bit-identically and is rewritten as a segment blob on the
-        first append."""
+    def test_pre_segment_jsonl_journal_rotated_aside(self, tmp_path, baseline):
+        """A journal in the old fsync-per-line JSONL layout is not a
+        segment blob: it is rotated aside like a stale journal, and the
+        sweep recomputes every target."""
         journal = tmp_path / "sweep.jsonl"
         key = sweep_key((None, None))
-        lines = [json.dumps({"schema": SweepCheckpoint.SCHEMA, "key": key})]
-        for comparison in baseline.comparisons[:2]:
-            payload = comparison_to_jsonable(comparison)
-            body = json.dumps(payload, sort_keys=True)
-            lines.append(json.dumps({
-                "name": comparison.target.name,
-                "payload": payload,
-                "sha": hashlib.sha256(body.encode()).hexdigest()[:16],
-            }))
-        journal.write_text("\n".join(lines) + "\n")
-        # Recomputing a journaled target would now die on first attempt.
-        install_plan(
-            tmp_path, monkeypatch,
-            {"alpha": ["raise:recomputed"], "beta": ["raise:recomputed"]},
-        )
+        header = {"schema": "repro-sweep-checkpoint/v1", "key": key}
+        journal.write_text(json.dumps(header) + "\n")
+        assert SweepCheckpoint(journal, key=key).entries() == {}
         with recording() as rec:
             result = ExperimentRunner().evaluate(
                 sweep_targets(), checkpoint=journal, resume=True
             )
-        assert rec.counters.get("core.resilience.resumed") == 2
-        # Bit-identical to the uninterrupted run (and hence to a
-        # segment-journal resume, which asserts the same equality).
+        assert rec.counters.get("core.resilience.resumed", 0) == 0
         assert result.comparisons == baseline.comparisons
-        assert json.dumps(result.rows()) == json.dumps(baseline.rows())
-        # The journal now *is* a segment blob holding all four targets.
-        from repro.core.store import peek_key
-
-        assert peek_key(journal) == key
-        reloaded = SweepCheckpoint(journal, key=key).entries()
-        assert sorted(reloaded) == ["alpha", "beta", "delta", "gamma"]
+        assert (tmp_path / "sweep.jsonl.stale").read_text() == (
+            json.dumps(header) + "\n"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -840,41 +817,6 @@ class TestMemoConcurrency:
         assert final in (value_a, value_b)
         assert rec.counters.get("core.memo.corrupt") == 0
         assert not list(tmp_path.glob("*.corrupt"))
-
-    def test_every_two_phase_commit_interleaving_is_atomic(self, tmp_path):
-        """Readers see nothing or a complete doc at every commit step."""
-        value = {"a": {"payload": [1, 2, 3]}, "b": {"payload": [4, 5, 6]}}
-        steps = [("a", "tmp"), ("a", "replace"), ("b", "tmp"), ("b", "replace")]
-        orders = [
-            order for order in itertools.permutations(steps)
-            if order.index(("a", "tmp")) < order.index(("a", "replace"))
-            and order.index(("b", "tmp")) < order.index(("b", "replace"))
-        ]
-        assert len(orders) == 6
-        for case, order in enumerate(orders):
-            root = tmp_path / ("case%d" % case)
-            root.mkdir()
-            cache = MemoCache(root, version="v1")
-            path = cache._path("k", None)
-            tmps = {}
-            with recording() as rec:
-                for writer, phase in order:
-                    if phase == "tmp":
-                        value_json = json.dumps(value[writer], sort_keys=True)
-                        document = {
-                            "name": "k",
-                            "version": "v1",
-                            "value": value[writer],
-                            "checksum": MemoCache._checksum(value_json),
-                        }
-                        tmp = path.with_suffix(".tmp.%s" % writer)
-                        tmp.write_text(json.dumps(document))
-                        tmps[writer] = tmp
-                    else:
-                        os.replace(tmps[writer], path)
-                    got = cache.get("k")
-                    assert got in (None, value["a"], value["b"])
-            assert rec.counters.get("core.memo.corrupt") == 0
 
     def test_memo_and_checkpoint_writers_share_a_directory(self, tmp_path):
         """Segment blobs and a checkpoint journal coexist in one

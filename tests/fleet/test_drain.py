@@ -13,7 +13,13 @@ import sys
 import time
 
 from repro.core.memo import code_version_hash
-from repro.fleet.wire import PROTOCOL, decode_obj, encode_obj, http_json
+from repro.fleet.wire import (
+    PROTOCOL,
+    FleetTransportError,
+    decode_obj,
+    encode_obj,
+    http_json,
+)
 from tests.fleet.conftest import REPO_ROOT, FleetHarness, fleet_env
 
 
@@ -85,12 +91,31 @@ class TestDrainProtocol:
     def test_drain_is_idempotent(self, worker_servers):
         (server,) = worker_servers(1)
         url = "http://127.0.0.1:%d" % server.port
-        for _ in range(3):
+
+        def refused_promptly(method, route, payload=None):
+            """True if the worker refused the request (it has exited).
+
+            A drained worker closes its listening socket, so a refusal
+            must come at once; a request left to wait out the client
+            timeout fails the test.
+            """
+            start = time.monotonic()
             try:
-                status, doc = http_json("POST", url + "/drain", {})
-            except Exception:
+                status, doc = http_json(method, url + route, payload, timeout=2.0)
+            except FleetTransportError:
+                elapsed = time.monotonic() - start
+                assert elapsed < 1.0, "refusal took %.2fs" % elapsed
+                return True
+            assert status == 200 and doc.get("ok", True)
+            return False
+
+        for _ in range(3):
+            if refused_promptly("POST", "/drain", {}):
                 break  # already exited: also fine
-            assert status == 200 and doc["ok"]
+        _wait(
+            lambda: refused_promptly("GET", "/health"),
+            message="prompt refusal after drain",
+        )
 
 
 class TestDrainProcess:
