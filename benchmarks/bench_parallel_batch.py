@@ -215,7 +215,7 @@ def run(quick: bool, jobs: int | None = None) -> list:
 def _print_rows(rows) -> None:
     for row in rows:
         print(
-            "%-20s %2d configs  1-proc %8.3fs  jobs=%d %8.3fs  (%.1fx)"
+            "%-20s %2d configs  1-proc %8.3fs  jobs=%d %8.3fs  (%.2fx%s)"
             % (
                 row["name"],
                 row["configs"],
@@ -223,6 +223,7 @@ def _print_rows(rows) -> None:
                 row["jobs"],
                 row["parallel_s"],
                 row["speedup"],
+                ", SLOWER than 1 process" if row["speedup"] < 1.0 else "",
             )
         )
     print("headline speedup: %.1fx" % _geomean([r["speedup"] for r in rows]))

@@ -419,6 +419,16 @@ def _render_parallel_perf_section(record: dict) -> str:
         "Geomean multicore sweep speedup on this host: **%.1fx**.\n"
         % record.get("headline_speedup", 0.0)
     )
+    slower = [
+        "%s at %s size (%.2fx)" % (row["name"], size, row["speedup"])
+        for size, key in (("full", "sweeps"), ("quick", "quick_sweeps"))
+        for row in record.get(key, [])
+        if row["speedup"] < 1.0
+    ]
+    if slower:
+        lines.append(
+            "Slower than 1 process on this host: %s.\n" % "; ".join(slower)
+        )
     return "\n".join(lines)
 
 
@@ -503,40 +513,50 @@ def _render_fleet_section(record: dict) -> str:
         "Recorded by `benchmarks/fleet_smoke.py` (re-run it to refresh "
         "`benchmarks/BENCH_fleet_smoke.json`; CI's `fleet-smoke` job "
         "runs it on every push).  The smoke boots the whole distributed "
-        "stack through the CLI — %d single-slot HTTP workers plus a "
-        "gateway (`python -m repro fleet {worker,serve,status}`) — then "
-        "requires a `--fleet` sweep of `%s` (%d geometries) to be "
-        "**byte-identical on stdout** to a serial `--jobs 1` run, and a "
-        "rerun to answer from the gateway's shared result cache "
+        "stack through the CLI the way an elastic deployment would — "
+        "gateway first with **zero** static workers, then %d single-slot "
+        "HTTP workers that join via `--register` and renew heartbeat "
+        "leases, every request HMAC-signed with a shared "
+        "`REPRO_FLEET_SECRET` — then requires a `--fleet` sweep of `%s` "
+        "(%d geometries) to be **byte-identical on stdout** to a serial "
+        "`--jobs 1` run *while one worker is gracefully drained mid-run* "
+        "(`repro fleet drain --url`; the drained worker must exit 0 — "
+        "drain is the uncharged decommission path), and a rerun to "
+        "answer from the gateway's shared result cache "
         "(`fleet.cache.hits` in its manifest) without changing a byte.  "
         "The fleet here is loopback on one host, so the wall-clock "
         "column measures dispatch overhead, not distributed speedup — "
         "the contract under test is identity, and `tests/fleet/` pins "
-        "the same contract over Hypothesis-drawn sweeps plus a fault "
-        "suite (workers SIGKILLed mid-shard, whole fleet dead, gateway "
-        "restart + `--resume`, hung workers past `timeout_s`).\n"
+        "the same contract over Hypothesis-drawn sweeps plus two chaos "
+        "suites (workers SIGKILLed mid-shard, whole fleet dead, gateway "
+        "restart + `--resume`, hung workers past `timeout_s`; and "
+        "elastic membership: join mid-sweep, drain mid-sweep uncharged, "
+        "lease expiry cutting a SIGSTOP'd worker loose within "
+        "~`lease_s`, gateway restart rehydrating members from the "
+        "persisted store, wrong-secret clients locked out end-to-end).\n"
         % (
             record.get("workers", 0),
             record.get("workload", "?"),
             record.get("configs", 0),
         )
     )
+    identical = "yes" if record.get("identical") else "NO"
     lines.append("| run | wall clock (s) | identical to serial |")
     lines.append("|---|---|---|")
     lines.append("| serial `--jobs 1` | %.2f | — |" % record.get("serial_s", 0.0))
     lines.append(
-        "| fleet (2 workers + gateway) | %.2f | %s |"
+        "| elastic fleet (%d registered workers, %d drained mid-run) | "
+        "%.2f | %s |"
         % (
+            record.get("workers", 0),
+            record.get("drained_mid_run", 0),
             record.get("fleet_s", 0.0),
-            "yes" if record.get("identical") else "NO",
+            identical,
         )
     )
     lines.append(
         "| rerun (gateway cache hit) | %.2f | %s |"
-        % (
-            record.get("cache_hit_s", 0.0),
-            "yes" if record.get("identical") else "NO",
-        )
+        % (record.get("cache_hit_s", 0.0), identical)
     )
     lines.append("")
     return "\n".join(lines)

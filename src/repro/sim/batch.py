@@ -9,11 +9,16 @@ between configurations:
 * **L1 pass** — the L1's behaviour depends only on its own geometry
   (sets x ways), so configs sharing an L1 geometry share one pass over
   the :meth:`repro.sim.trace.MemoryTrace.line_runs` stream.  The pass
-  replays the exact inlined serial L1 loop (OrderedDict recency = true
-  LRU) and records the *LLC event stream* it induces: for every L1 miss,
-  an optional dirty-victim writeback-install followed by the line fetch.
-* **LLC pass** — each (L1 geometry, LLC geometry) pair replays only that
+  records the *LLC event stream* it induces: for every L1 miss, an
+  optional dirty-victim writeback-install followed by the line fetch.
+* **LLC pass** — each (L1 stream, LLC geometry) pair replays only that
   event stream, which is as long as the L1 miss traffic, not the trace.
+* **One LRU kernel** — both passes are :func:`_lru`, an exact NumPy
+  computation of a stream's LRU outcomes (misses, victims, dirty bits,
+  final contents) from each access's previous and next access to its
+  line, without stepping through the stream (Mattson-style stack
+  reasoning).  It shares no code with the serial ``replay_fast`` loops,
+  which stay the independent oracle.
 * **Timing** — the event-driven model's cache state evolves through the
   same ``Cache.access`` sequence as the hierarchy replay, so its
   per-event outcomes (L1 hit / LLC hit / DRAM miss) are exactly the
@@ -21,14 +26,17 @@ between configurations:
   issue gaps, so the ``pending`` value at each event is a prefix-sum
   difference over the shared run counts; the per-config loop touches
   only latency events, with the *same float expressions in the same
-  order* as the serial engine.
+  order* as the serial engine.  The loop is cached by exactly what it
+  reads — the L1 stream, the fetches' LLC outcomes and the timing
+  constants — so LLC geometries with the same outcomes share it.
 
 After the passes each config finishes straight from its shared pass
 state (:func:`_finish_config`), without building a
 :class:`~repro.sim.cache.CacheHierarchy` and without mutating the
-passes, which other configs and the timing engine share.  Its strict
-conservation checks and ``sim.cache.*`` counters go through
-``CacheHierarchy._account``, the same code the serial ``_finish`` runs.
+passes, which other configs and the timing engine share (their
+arrays are read-only).  Its strict conservation checks and
+``sim.cache.*`` counters go through ``CacheHierarchy._account``, the
+same code the serial ``_finish`` runs.
 :func:`replay_batch` and :func:`replay_timing_batch` are bit-identical
 per config to serial ``replay_fast`` (property-tested in
 ``tests/sim/test_replay_batch.py``).  :func:`sweep_batch` evaluates both
@@ -80,15 +88,183 @@ def _publish_batch(recorder, n, num_runs, shared) -> None:
         counters.add("sim.replay_batch.shared_trace_hits", n)
 
 
+#: Element budget of one counting round in :func:`_count_misses`; bounds
+#: the round's temporaries, not its result.
+_COUNT_BUDGET = 1 << 20
+
+
+def _frozen(*arrays):
+    """Mark shared arrays read-only: geometries, configs and engines
+    share chains and pass state, so a stray write must raise."""
+    for array in arrays:
+        array.flags.writeable = False
+
+
+def _chain(lines: np.ndarray):
+    """Each access's previous and next access to the same line.
+
+    Returns ``(by_line, prev, nxt)``: ``by_line`` lists the positions
+    grouped by line, in time order within a line; ``prev``/``nxt`` hold
+    a position or ``-1``.  It depends only on the stream, so every
+    geometry replaying that stream shares it.
+    """
+    by_line = np.argsort(lines, kind="stable")
+    grouped = lines[by_line]
+    same = grouped[1:] == grouped[:-1]
+    earlier = by_line[:-1][same]
+    later = by_line[1:][same]
+    prev = np.full(lines.size, -1, dtype=np.int64)
+    nxt = np.full(lines.size, -1, dtype=np.int64)
+    prev[later] = earlier
+    nxt[earlier] = later
+    _frozen(by_line, prev, nxt)
+    return by_line, prev, nxt
+
+
+def _rank_in_group(keys: np.ndarray) -> np.ndarray:
+    """Each element's index within its run of equal keys."""
+    at = np.arange(keys.size)
+    starts = np.empty(keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return at - np.maximum.accumulate(np.where(starts, at, 0))
+
+
+def _window_max(values: np.ndarray, width: int) -> np.ndarray:
+    """``out[i] = max(values[i:i + width])`` for every full window."""
+    out, span = values, 1
+    while 2 * span <= width:
+        out = np.maximum(out[:-span], out[span:])
+        span *= 2
+    if span < width:
+        out = np.maximum(out[: span - width], out[width - span:])
+    return out
+
+
+def _count_misses(prev_s, ends, starts, assoc, miss_s) -> None:
+    """Resolve reuse windows by counting their new lines, chunk by chunk.
+
+    The reuse at ``ends[i]`` of the line last touched at ``starts[i]``
+    misses iff at least ``assoc`` positions in between are the first
+    access of their line since ``starts[i]``.  Each window is scanned in
+    chunks that double in size until the count reaches ``assoc`` (a
+    miss) or the window ends (a hit).
+    """
+    cur = starts + 1
+    found = np.zeros(ends.size, dtype=np.int64)
+    step = assoc
+    live = np.ones(ends.size, dtype=bool)
+    while True:
+        ends, starts, cur, found = ends[live], starts[live], cur[live], found[live]
+        if not ends.size:
+            return
+        step = min(2 * step, max(assoc, _COUNT_BUDGET // ends.size))
+        stop = np.minimum(cur + step, ends)
+        length = stop - cur
+        offset = np.cumsum(length) - length
+        flat = np.arange(int(offset[-1] + length[-1])) + np.repeat(
+            cur - offset, length
+        )
+        fresh = np.concatenate(
+            ([0], np.cumsum(prev_s[flat] < np.repeat(starts, length)))
+        )
+        found = found + fresh[offset + length] - fresh[offset]
+        over = found >= assoc
+        miss_s[ends[over]] = True
+        live = ~over & (stop < ends)
+        cur = stop
+
+
+def _lru(lines, writes, chain, num_sets: int, assoc: int):
+    """Exact write-back LRU over one access stream, without simulating it.
+
+    ``lines`` are the accessed lines in time order, ``writes`` their
+    write flags (``None`` for a stream without writes) and ``chain`` is
+    :func:`_chain` of ``lines``.  Per access this equals ``Cache.access``
+    on a cold cache of ``num_sets`` x ``assoc``: a write, or a miss
+    filled by a write, leaves the line dirty.  Returns ``(miss,
+    evict_at, victims, victim_dirty, residents, resident_dirty)``:
+    whether each access missed; the accesses whose miss evicted a line,
+    with that line and its dirty bit; and the final contents, sets
+    ascending and LRU to MRU within a set, with their dirty bits.
+
+    Works in set-stable order, where each set's accesses are contiguous
+    and in time order.  A reuse of a line last touched at ``p`` misses
+    iff its set saw ``assoc`` distinct other lines since ``p``; those
+    are the positions in the window whose own previous access is before
+    ``p``.  LRU evicts a set's lines in the order their residencies end
+    (at their last access before the eviction), so the k-th evicting
+    miss of a set (its misses after the first ``assoc``) evicts the
+    set's k-th ended residency that is not still resident at the end.
+    A residency is dirty iff a write falls between its filling miss and
+    its last access.
+    """
+    n = lines.size
+    by_line, prev, nxt = chain
+    set_of = lines % num_sets
+    key = set_of.astype(np.uint16) if num_sets <= 65536 else set_of
+    order = np.argsort(key, kind="stable")
+    sorted_sets = set_of[order]
+    rank = np.empty(n + 1, dtype=np.int64)
+    rank[order] = np.arange(n)
+    rank[n] = -1  # prev/nxt == -1 maps to -1
+    prev_s = rank[prev[order]]
+
+    # Reuses hit if their window has fewer than assoc positions or their
+    # set never holds more than assoc lines; a window whose first assoc
+    # positions are all new lines misses.
+    miss_s = prev_s < 0
+    far = np.flatnonzero(~miss_s & (prev_s < np.arange(n) - assoc))
+    crowded = np.bincount(set_of[prev < 0], minlength=num_sets) > assoc
+    far = far[crowded[sorted_sets[far]]]
+    if far.size:
+        start = prev_s[far]
+        new = _window_max(prev_s, assoc)[start + 1] < start
+        miss_s[far[new]] = True
+        _count_misses(prev_s, far[~new], start[~new], assoc, miss_s)
+
+    fills = np.flatnonzero(miss_s)
+    evicting = fills[_rank_in_group(sorted_sets[fills]) >= assoc]
+    lasts = np.flatnonzero(nxt[order] < 0)
+    resident = _rank_in_group(sorted_sets[lasts][::-1])[::-1] < assoc
+    ended = np.zeros(n, dtype=bool)
+    refills = prev_s[fills]
+    ended[refills[refills >= 0]] = True
+    ended[lasts[~resident]] = True
+    victims = order[np.flatnonzero(ended)]
+    residents = order[lasts[resident]]
+
+    miss = np.empty(n, dtype=bool)
+    miss[order] = miss_s
+    if writes is None:
+        victim_dirty = np.zeros(victims.size, dtype=bool)
+        resident_dirty = np.zeros(residents.size, dtype=bool)
+    else:
+        at = np.arange(n)
+        fill = np.maximum.accumulate(np.where(miss[by_line], at, 0))
+        written = np.concatenate(([0], np.cumsum(writes[by_line])))
+        dirty = np.empty(n, dtype=bool)
+        dirty[by_line] = written[1:] > written[fill]
+        victim_dirty = dirty[victims]
+        resident_dirty = dirty[residents]
+    return (
+        miss, order[evicting], lines[victims], victim_dirty,
+        lines[residents], resident_dirty,
+    )
+
+
 class _L1Pass:
     """One distinct L1 geometry's replay of the shared run stream.
 
-    ``stream_key`` fingerprints the induced LLC event stream (event
-    lines, kinds, and fetch positions): two L1 geometries whose streams
-    collide — common in sweeps, e.g. every geometry too small for the
-    working set misses identically — share LLC passes and timing event
-    loops downstream.  ``dirty_lines`` are the lines still dirty at the
-    end, in serial flush order (sets ascending, LRU to MRU in a set).
+    The LLC event stream it induces is ``ev_lines`` with ``ev_is_wb``:
+    per L1 miss, the dirty victim's writeback-install (if any) and then
+    the line fetch; ``fetch_runs`` are the missing runs.
+    ``stream_key`` fingerprints that stream: two L1 geometries whose
+    streams collide — common in sweeps, e.g. every geometry too small
+    for the working set misses identically — share LLC passes and
+    timing event loops downstream.  ``dirty_lines`` are the lines still
+    dirty at the end, in serial flush order (sets ascending, LRU to MRU
+    in a set).  Its arrays are read-only.
     """
 
     __slots__ = (
@@ -98,15 +274,17 @@ class _L1Pass:
 
 
 class _LlcPass:
-    """One (L1 geometry, LLC geometry) pair's replay of the event stream.
+    """One (L1 stream, LLC geometry) pair's replay of the event stream.
 
-    ``sets`` holds ``None`` for a set no event touched; ``dirty`` counts
-    the dirty lines left at the end.
+    ``sets`` is the final contents as sorted read-only arrays ``(set,
+    tag, dirty)``, LRU to MRU within a set; ``dirty`` counts the dirty
+    lines among them.  ``fetch_hits`` is each fetch event's LLC outcome
+    and ``hits_key`` its digest.
     """
 
     __slots__ = (
         "acc", "hits", "miss", "wb", "dram_reads", "dram_writes", "sets",
-        "dirty", "fetch_hits",
+        "dirty", "fetch_hits", "hits_key",
     )
 
 
@@ -114,10 +292,10 @@ class _SharedOutcomes:
     """Memoized per-geometry passes over one trace's run stream.
 
     Every batched entry point builds one of these; configs sharing an L1
-    geometry share its :class:`_L1Pass`, and each (L1, LLC) geometry
-    pair shares its :class:`_LlcPass` — including between the hierarchy
-    and timing engines inside :func:`sweep_batch`, whose cache state
-    evolves identically.
+    geometry share its :class:`_L1Pass`, and each (L1 stream, LLC
+    geometry) pair shares its :class:`_LlcPass` — including between the
+    hierarchy and timing engines inside :func:`sweep_batch`, whose
+    cache state evolves identically.
     """
 
     def __init__(self, trace: MemoryTrace):
@@ -126,11 +304,9 @@ class _SharedOutcomes:
         )
         self.num_accesses = len(trace)
         self.num_runs = int(self.run_lines.shape[0])
-        self.lines = self.run_lines.tolist()
-        self.counts = self.run_counts.tolist()
-        self.writes = self.run_writes.tolist()
         self._l1 = {}
         self._llc = {}
+        self._chains = {}
         self._pendings = {}
         self._prefix = None
 
@@ -155,126 +331,82 @@ class _SharedOutcomes:
             )
         return pass_
 
-    def _run_l1(self, num_sets: int, assoc: int) -> _L1Pass:
-        """The inlined serial L1 loop, recording induced LLC events.
+    def _chain_of(self, key, lines):
+        """Memoized :func:`_chain`: key ``None`` is the run stream, an L1
+        ``stream_key`` that pass's event stream."""
+        chain = self._chains.get(key)
+        if chain is None:
+            chain = self._chains[key] = _chain(lines)
+        return chain
 
-        Mirrors ``CacheHierarchy._replay_line_runs`` exactly: per run one
-        lookup; on a miss the dirty victim's writeback-install event is
-        emitted *before* the install, then the fetch event.
+    def _run_l1(self, num_sets: int, assoc: int) -> _L1Pass:
+        """The L1 over the run stream, recording induced LLC events.
+
+        One lookup per run, as in ``CacheHierarchy._replay_line_runs``;
+        a run's other accesses are hits.  On a miss the dirty victim's
+        writeback-install event comes *before* the fetch event.
         """
-        setv = (self.run_lines % num_sets).tolist()
-        tagv = (self.run_lines // num_sets).tolist()
-        sets = [OrderedDict() for _ in range(num_sets)]
-        acc = hits = miss = wb = 0
-        ev_lines: list[int] = []
-        ev_is_wb: list[bool] = []
-        fetch_runs: list[int] = []
-        append_line = ev_lines.append
-        append_kind = ev_is_wb.append
-        append_fetch = fetch_runs.append
-        r = 0
-        for set_idx, tag, line, count, is_write in zip(
-            setv, tagv, self.lines, self.counts, self.writes
-        ):
-            acc += count
-            od = sets[set_idx]
-            if tag in od:
-                hits += count
-                od.move_to_end(tag)
-                if is_write:
-                    od[tag] = True
-                r += 1
-                continue
-            miss += 1
-            hits += count - 1
-            if len(od) >= assoc:
-                victim_tag, victim_dirty = od.popitem(last=False)
-                if victim_dirty:
-                    wb += 1
-                    append_line(victim_tag * num_sets + set_idx)
-                    append_kind(True)
-            od[tag] = is_write
-            append_line(line)
-            append_kind(False)
-            append_fetch(r)
-            r += 1
+        lines = self.run_lines
+        writes = self.run_writes if self.run_writes.any() else None
+        miss, evict_at, victims, victim_dirty, residents, resident_dirty = _lru(
+            lines, writes, self._chain_of(None, lines), num_sets, assoc
+        )
+        fetch_runs = np.flatnonzero(miss)
+        writeback = np.full(lines.size, -1, dtype=np.int64)
+        writeback[evict_at[victim_dirty]] = victims[victim_dirty]
+        writeback = writeback[fetch_runs]
+        has_wb = writeback >= 0
+        slot = np.arange(fetch_runs.size) + np.cumsum(has_wb)
+        wb_slot = slot[has_wb] - 1
+        ev_lines = np.empty(fetch_runs.size + wb_slot.size, dtype=np.int64)
+        ev_lines[slot] = lines[fetch_runs]
+        ev_lines[wb_slot] = writeback[has_wb]
+        ev_is_wb = np.zeros(ev_lines.size, dtype=bool)
+        ev_is_wb[wb_slot] = True
+        _frozen(ev_lines, ev_is_wb, fetch_runs)
         pass_ = _L1Pass()
-        pass_.acc, pass_.hits, pass_.miss, pass_.wb = acc, hits, miss, wb
-        pass_.dirty_lines = [
-            tag * num_sets + set_idx
-            for set_idx, od in enumerate(sets)
-            if od
-            for tag, dirty in od.items()
-            if dirty
-        ]
-        pass_.ev_lines = np.array(ev_lines, dtype=np.int64)
-        pass_.ev_is_wb = ev_is_wb
-        pass_.fetch_runs = np.array(fetch_runs, dtype=np.int64)
-        digest = hashlib.blake2b(pass_.ev_lines.tobytes(), digest_size=16)
-        digest.update(np.packbits(np.asarray(ev_is_wb, dtype=bool)).tobytes())
-        digest.update(pass_.fetch_runs.tobytes())
+        pass_.acc = int(self.run_counts.sum())
+        pass_.miss = int(fetch_runs.size)
+        pass_.hits = pass_.acc - pass_.miss
+        pass_.wb = int(wb_slot.size)
+        pass_.dirty_lines = tuple(residents[resident_dirty].tolist())
+        pass_.ev_lines, pass_.ev_is_wb = ev_lines, ev_is_wb
+        pass_.fetch_runs = fetch_runs
+        digest = hashlib.blake2b(ev_lines.tobytes(), digest_size=16)
+        digest.update(np.packbits(ev_is_wb).tobytes())
+        digest.update(fetch_runs.tobytes())
         pass_.stream_key = digest.digest()
         return pass_
 
     def _run_llc(self, l1_pass: _L1Pass, num_sets: int, assoc: int) -> _LlcPass:
-        """The inlined serial LLC loop over one L1 geometry's events.
+        """The LLC over one L1 event stream.
 
-        Writeback-installs are write-allocate (the install is dirty and
-        the fill a DRAM read); fetches install clean.  Per fetch the LLC
-        hit outcome is recorded for the timing engine.  A set's
-        OrderedDict is allocated on first touch.  Every dirty eviction
-        is a writeback, so the dirty lines left at the end are the
-        clean-to-dirty marks minus ``wb``.
+        Writeback-installs are writes (write-allocate: the install is
+        dirty and the fill a DRAM read); fetches install clean.  Every
+        miss reads a line from DRAM and every dirty victim writes one
+        back.  Per fetch the LLC hit outcome is kept for the timing
+        engine.
         """
-        setv = (l1_pass.ev_lines % num_sets).tolist()
-        tagv = (l1_pass.ev_lines // num_sets).tolist()
-        sets = [None] * num_sets
-        acc = hits = miss = wb = marks = 0
-        dram_reads = dram_writes = 0
-        fetch_hits: list[bool] = []
-        append_hit = fetch_hits.append
-        for set_idx, tag, is_wb in zip(setv, tagv, l1_pass.ev_is_wb):
-            od = sets[set_idx]
-            if od is None:
-                od = sets[set_idx] = OrderedDict()
-            acc += 1
-            if is_wb:
-                if tag in od:
-                    hits += 1
-                    od.move_to_end(tag)
-                    if not od[tag]:
-                        od[tag] = True
-                        marks += 1
-                else:
-                    miss += 1
-                    if len(od) >= assoc:
-                        _, victim_dirty = od.popitem(last=False)
-                        if victim_dirty:
-                            wb += 1
-                            dram_writes += 1
-                    od[tag] = True
-                    marks += 1
-                    dram_reads += 1
-            elif tag in od:
-                hits += 1
-                od.move_to_end(tag)
-                append_hit(True)
-            else:
-                miss += 1
-                if len(od) >= assoc:
-                    _, victim_dirty = od.popitem(last=False)
-                    if victim_dirty:
-                        wb += 1
-                        dram_writes += 1
-                od[tag] = False
-                dram_reads += 1
-                append_hit(False)
+        lines = l1_pass.ev_lines
+        writes = l1_pass.ev_is_wb if l1_pass.wb else None
+        miss, _, _, victim_dirty, residents, resident_dirty = _lru(
+            lines, writes, self._chain_of(l1_pass.stream_key, lines),
+            num_sets, assoc,
+        )
+        fetch_hits = ~miss[~l1_pass.ev_is_wb]
+        sets = (residents % num_sets, residents // num_sets, resident_dirty)
+        _frozen(fetch_hits, *sets)
         pass_ = _LlcPass()
-        pass_.acc, pass_.hits, pass_.miss, pass_.wb = acc, hits, miss, wb
-        pass_.dram_reads, pass_.dram_writes = dram_reads, dram_writes
+        pass_.acc = int(lines.size)
+        pass_.miss = pass_.dram_reads = int(np.count_nonzero(miss))
+        pass_.hits = pass_.acc - pass_.miss
+        pass_.wb = pass_.dram_writes = int(np.count_nonzero(victim_dirty))
         pass_.sets = sets
-        pass_.dirty = marks - wb
+        pass_.dirty = int(np.count_nonzero(resident_dirty))
         pass_.fetch_hits = fetch_hits
+        pass_.hits_key = hashlib.blake2b(
+            np.packbits(fetch_hits).tobytes(), digest_size=16
+        ).digest()
         return pass_
 
     def pendings(self, l1_cfg):
@@ -319,10 +451,12 @@ def _finish_config(
 
     Equals ``CacheHierarchy._finish`` on the serial end state.  The L1
     flush installs the L1 pass's dirty lines, in serial flush order,
-    write-allocate into copies of the LLC sets they touch; the LLC
-    flush then writes back every line still dirty, counted as the LLC
-    pass's ``dirty`` corrected by the touched sets.  The pass objects
-    are shared between configs and engines, so they are only read.
+    write-allocate into copies of the LLC sets they touch, each built
+    from that set's slice of the LLC pass's final-resident arrays; the
+    LLC flush then writes back every line still dirty, counted as the
+    LLC pass's ``dirty`` corrected by the touched sets.  The pass
+    objects are shared between configs and engines, so they are only
+    read.
     """
     l1_wb = l1_pass.wb
     llc_acc, llc_hits, llc_miss, llc_wb = (
@@ -331,7 +465,7 @@ def _finish_config(
     dram_reads, dram_writes = llc_pass.dram_reads, llc_pass.dram_writes
     if flush:
         num_sets, assoc = soc.l2.num_sets, soc.l2.associativity
-        shared_sets = llc_pass.sets
+        res_sets, res_tags, res_dirty = llc_pass.sets
         touched = {}
         dirty = llc_pass.dirty
         l1_wb += len(l1_pass.dirty_lines)
@@ -340,9 +474,9 @@ def _finish_config(
             tag = line // num_sets
             od = touched.get(set_idx)
             if od is None:
-                shared = shared_sets[set_idx]
-                od = touched[set_idx] = (
-                    OrderedDict() if shared is None else shared.copy()
+                lo, hi = np.searchsorted(res_sets, (set_idx, set_idx + 1))
+                od = touched[set_idx] = OrderedDict(
+                    zip(res_tags[lo:hi].tolist(), res_dirty[lo:hi].tolist())
                 )
             llc_acc += 1
             if tag in od:
@@ -517,19 +651,16 @@ def _timing_results(
         issue_gap = instructions_per_access / sim.soc.sustained_ipc
         l1_pass = outcomes.l1(sim.soc.l1)
         llc_pass = outcomes.llc(sim.soc.l1, sim.soc.l2)
-        # Simulators whose cache outcomes and timing constants coincide
-        # share one event loop; `_finish` still runs once per simulator.
-        key = (
-            l1_pass.stream_key,
-            outcomes._key(sim.soc.l2),
-            sim.params,
-            issue_gap,
-        )
+        # The clock reads only the issue gaps (fixed by the L1 stream),
+        # the fetches' LLC outcomes and the timing constants, so configs
+        # agreeing on those share one event loop, whatever their LLC
+        # geometry; `_finish` still runs once per simulator.
+        key = (l1_pass.stream_key, llc_pass.hits_key, sim.params, issue_gap)
         cached = clocks.get(key)
         if cached is None:
             pendings, final_pending = outcomes.pendings(sim.soc.l1)
             cached = clocks[key] = _timing_clock(
-                pendings, final_pending, llc_pass.fetch_hits,
+                pendings, final_pending, llc_pass.fetch_hits.tolist(),
                 sim.params, issue_gap, strict,
             )
         clock, dram_misses, mshr_overflows, completion_disorder = cached

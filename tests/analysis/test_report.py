@@ -1,8 +1,17 @@
 """Unit tests for the EXPERIMENTS.md report generator."""
 
+from pathlib import Path
 
 from repro.analysis.base import FigureResult
-from repro.analysis.report import EXPERIMENTS, render_markdown, write_experiments_md
+from repro.analysis.report import (
+    EXPERIMENTS,
+    _render_fleet_section,
+    load_fleet_baseline,
+    render_markdown,
+    write_experiments_md,
+)
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestFigureResult:
@@ -70,6 +79,15 @@ class TestReport:
         assert written == str(path)
         for fig in ("Table 1", "Figure 1", "Figure 21", "Headline"):
             assert "## %s" % fig in content
+
+    def test_fleet_section_round_trips(self):
+        # The fleet section is the last one; render_markdown ends the
+        # document with one more newline.
+        committed = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+        heading = "## Distributed sweeps"
+        rendered = _render_fleet_section(load_fleet_baseline()) + "\n"
+        assert rendered.startswith(heading)
+        assert committed[committed.index(heading):] == rendered
 
 
 class TestCachedParallelResults:

@@ -60,7 +60,8 @@ def batched(trace, socs, flush=True):
 
 
 def llc_snapshot(llc_pass):
-    return [None if od is None else list(od.items()) for od in llc_pass.sets]
+    """The LLC pass's final residents: (set, tag, dirty) lists."""
+    return [column.tolist() for column in llc_pass.sets]
 
 
 #: Two L1 geometries (8 sets x 2 ways, 32 sets x 1 way) and a trace
