@@ -29,11 +29,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import time
 from pathlib import Path
 
-import numpy as np
-
+import _timing
 from repro.config import KB, MB, CacheConfig, SocConfig, soc_cache_label
 from repro.sim.artifact import TraceArtifact
 from repro.sim.batch import sweep_batch
@@ -118,8 +116,8 @@ def measure(name, build_trace, socs, fast_reps: int = 3) -> dict:
         build_trace, socs, params
     ):
         raise AssertionError("%s: batched sweep diverged from serial" % name)
-    baseline_s = _best(lambda: baseline_sweep(build_trace, socs, params), 1)
-    batched_s = _best(lambda: batched_sweep(build_trace, socs, params), fast_reps)
+    baseline_s = _timing.best(lambda: baseline_sweep(build_trace, socs, params), 1)
+    batched_s = _timing.best(lambda: batched_sweep(build_trace, socs, params), fast_reps)
     accesses = len(build_trace())
     return {
         "name": name,
@@ -131,19 +129,6 @@ def measure(name, build_trace, socs, fast_reps: int = 3) -> dict:
         "batched_points_per_s": len(socs) / batched_s,
         "speedup": baseline_s / batched_s,
     }
-
-
-def _best(fn, reps: int) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _geomean(speedups) -> float:
-    return float(np.exp(np.mean(np.log(speedups))))
 
 
 def run(quick: bool) -> list:
@@ -163,7 +148,7 @@ def _print_rows(rows) -> None:
                 row["speedup"],
             )
         )
-    print("headline speedup: %.1fx" % _geomean([r["speedup"] for r in rows]))
+    print("headline speedup: %.1fx" % _timing.geomean([r["speedup"] for r in rows]))
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +157,7 @@ def _print_rows(rows) -> None:
 
 def test_batched_sweep_meets_speedup_bar():
     rows = run(quick=False)  # raises on divergence
-    headline = _geomean([r["speedup"] for r in rows])
+    headline = _timing.geomean([r["speedup"] for r in rows])
     assert headline >= REQUIRED_SPEEDUP, (
         "headline speedup only %.1fx over per-config serial replay" % headline
     )
@@ -250,7 +235,7 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count() or 1,
         "sweeps": full_rows,
         "quick_sweeps": quick_rows,
-        "headline_speedup": _geomean([r["speedup"] for r in full_rows]),
+        "headline_speedup": _timing.geomean([r["speedup"] for r in full_rows]),
     }
     with open(JSON_PATH, "w") as f:
         json.dump(record, f, indent=2)

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
 
+import _timing
 from repro.config import SocConfig
 from repro.core.resilience import ResilientMap, RetryPolicy
 from repro.obs import recording
@@ -97,15 +97,6 @@ LAYERS = [
 ]
 
 
-def _best(fn, reps: int) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def measure(name, build_trace, reps: int = 5) -> dict:
     """Per-layer replay throughput for one workload trace."""
     soc = SocConfig()
@@ -119,7 +110,7 @@ def measure(name, build_trace, reps: int = 5) -> dict:
     layers = {}
     bare_s = None
     for label, runner in LAYERS:
-        seconds = _best(lambda: runner(soc, trace), reps)
+        seconds = _timing.best(lambda: runner(soc, trace), reps)
         if bare_s is None:
             bare_s = seconds
         layers[label] = {

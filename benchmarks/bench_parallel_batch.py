@@ -35,12 +35,12 @@ import argparse
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import _timing
 from repro.config import KB, MB, CacheConfig, SocConfig, soc_cache_label
 from repro.core.runner import ConfigSweep
 from repro.sim.artifact import TraceArtifact
@@ -174,10 +174,10 @@ def measure(name, build_trace, socs, jobs: int, reps: int = 2) -> dict:
             raise AssertionError(
                 "%s: sharded sweep diverged from single-process" % name
             )
-        baseline_s = _best(
+        baseline_s = _timing.best(
             lambda: _sweep_rows(artifact, socs, params, jobs=1), reps
         )
-        parallel_s = _best(
+        parallel_s = _timing.best(
             lambda: _sweep_rows(artifact, socs, params, jobs=jobs), reps
         )
     return {
@@ -191,19 +191,6 @@ def measure(name, build_trace, socs, jobs: int, reps: int = 2) -> dict:
         "parallel_points_per_s": len(socs) / parallel_s,
         "speedup": baseline_s / parallel_s,
     }
-
-
-def _best(fn, reps: int) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _geomean(speedups) -> float:
-    return float(np.exp(np.mean(np.log(speedups))))
 
 
 def run(quick: bool, jobs: int | None = None) -> list:
@@ -226,7 +213,7 @@ def _print_rows(rows) -> None:
                 ", SLOWER than 1 process" if row["speedup"] < 1.0 else "",
             )
         )
-    print("headline speedup: %.1fx" % _geomean([r["speedup"] for r in rows]))
+    print("headline speedup: %.1fx" % _timing.geomean([r["speedup"] for r in rows]))
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +233,7 @@ def test_parallel_rows_bit_identical():
 )
 def test_parallel_sweep_meets_speedup_bar():
     rows = run(quick=False)  # raises on divergence
-    headline = _geomean([r["speedup"] for r in rows])
+    headline = _timing.geomean([r["speedup"] for r in rows])
     assert headline >= REQUIRED_SPEEDUP, (
         "headline speedup only %.1fx over single-process batched" % headline
     )
@@ -332,7 +319,7 @@ def main(argv=None) -> int:
         "jobs": jobs,
         "sweeps": full_rows,
         "quick_sweeps": quick_rows,
-        "headline_speedup": _geomean([r["speedup"] for r in full_rows]),
+        "headline_speedup": _timing.geomean([r["speedup"] for r in full_rows]),
     }
     with open(JSON_PATH, "w") as f:
         json.dump(record, f, indent=2)

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
 
 import numpy as np
 
+import _timing
 from repro.sim.timing import TimingParameters, TimingSimulator
 from repro.sim.trace import TraceRecorder
 from repro.workloads.chrome import lzo
@@ -49,15 +49,6 @@ REGRESSION_FACTOR = 2.0
 #: parse and the mid-ring re-centering are inherently sequential — so
 #: their smaller gains are recorded but not gated at 5x.)
 GATED = ("mc_interpolate", "deblock", "me_full_search", "timing_replay")
-
-
-def _best(fn, reps: int) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _build_kernels(quick: bool) -> list:
@@ -185,8 +176,8 @@ def measure(name, scalar_fn, fast_fn, check_equal, fast_reps: int = 5) -> dict:
     """Time one engine pair and verify the engines still agree."""
     if not check_equal(scalar_fn(), fast_fn()):
         raise AssertionError("%s: fast path diverged from scalar oracle" % name)
-    scalar_s = _best(scalar_fn, 1)
-    fast_s = _best(fast_fn, fast_reps)
+    scalar_s = _timing.best(scalar_fn, 1)
+    fast_s = _timing.best(fast_fn, fast_reps)
     return {
         "name": name,
         "scalar_s": scalar_s,
@@ -199,17 +190,13 @@ def run(quick: bool) -> list:
     return [measure(*kernel) for kernel in _build_kernels(quick)]
 
 
-def _geomean(speedups) -> float:
-    return float(np.exp(np.mean(np.log(speedups))))
-
-
 def _print_rows(rows) -> None:
     for row in rows:
         print(
             "%-22s scalar %9.4fs  fast %9.4fs  (%.1fx)"
             % (row["name"], row["scalar_s"], row["fast_s"], row["speedup"])
         )
-    print("headline speedup: %.1fx" % _geomean([r["speedup"] for r in rows]))
+    print("headline speedup: %.1fx" % _timing.geomean([r["speedup"] for r in rows]))
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +273,7 @@ def main(argv=None) -> int:
         "generated_by": "benchmarks/bench_perf_kernels.py",
         "kernels": full_rows,
         "quick_kernels": quick_rows,
-        "headline_speedup": _geomean([r["speedup"] for r in full_rows]),
+        "headline_speedup": _timing.geomean([r["speedup"] for r in full_rows]),
     }
     with open(JSON_PATH, "w") as f:
         json.dump(record, f, indent=2)

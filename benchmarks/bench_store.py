@@ -43,11 +43,9 @@ import json
 import os
 import shutil
 import tempfile
-import time
 from pathlib import Path
 
-import numpy as np
-
+import _timing
 from repro.core.memo import MemoCache
 from repro.core.resilience import SweepCheckpoint
 
@@ -210,8 +208,8 @@ def measure(name: str, count: int, make_payload) -> dict:
             _write_segment(segment_dir, items)
 
         write = {
-            "legacy_s": _best(write_legacy, 2),
-            "segment_s": _best(write_segment, 3),
+            "legacy_s": _timing.best(write_legacy, 2),
+            "segment_s": _timing.best(write_segment, 3),
         }
         # Both layouts must read back exactly what was written.
         if _read_all_legacy(legacy_dir, names) != values:
@@ -219,8 +217,8 @@ def measure(name: str, count: int, make_payload) -> dict:
         if _read_all(segment_dir, names) != values:
             raise AssertionError("%s: segment layout altered a value" % name)
         hit = {
-            "legacy_s": _best(lambda: _read_all_legacy(legacy_dir, names), 3),
-            "segment_s": _best(lambda: _read_all(segment_dir, names), 3),
+            "legacy_s": _timing.best(lambda: _read_all_legacy(legacy_dir, names), 3),
+            "segment_s": _timing.best(lambda: _read_all(segment_dir, names), 3),
         }
 
         legacy_journal = root / "legacy.jsonl"
@@ -236,10 +234,10 @@ def measure(name: str, count: int, make_payload) -> dict:
         if SweepCheckpoint(segment_journal, key="bench").entries() != reference:
             raise AssertionError("%s: segment journal diverged" % name)
         resume = {
-            "legacy_s": _best(
+            "legacy_s": _timing.best(
                 lambda: _legacy_journal_entries(legacy_journal, "bench"), 3
             ),
-            "segment_s": _best(
+            "segment_s": _timing.best(
                 lambda: SweepCheckpoint(segment_journal, key="bench").entries(), 3
             ),
         }
@@ -255,19 +253,6 @@ def measure(name: str, count: int, make_payload) -> dict:
             "speedup": timings["legacy_s"] / timings["segment_s"],
         }
     return row
-
-
-def _best(fn, reps: int) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _geomean(speedups) -> float:
-    return float(np.exp(np.mean(np.log(speedups))))
 
 
 def run(quick: bool) -> list:
@@ -291,7 +276,7 @@ def _print_rows(rows) -> None:
         )
     print(
         "headline write speedup: %.1fx (entries/sec vs file-per-entry)"
-        % _geomean([r["write"]["speedup"] for r in rows])
+        % _timing.geomean([r["write"]["speedup"] for r in rows])
     )
 
 
@@ -301,7 +286,7 @@ def _print_rows(rows) -> None:
 
 def test_write_path_meets_speedup_bar():
     rows = run(quick=False)  # raises if either layout alters a value
-    headline = _geomean([r["write"]["speedup"] for r in rows])
+    headline = _timing.geomean([r["write"]["speedup"] for r in rows])
     assert headline >= REQUIRED_WRITE_SPEEDUP, (
         "write path only %.1fx entries/sec over file-per-entry" % headline
     )
@@ -394,7 +379,7 @@ def main(argv=None) -> int:
         "flush_every": FLUSH_EVERY,
         "sweeps": full_rows,
         "quick_sweeps": quick_rows,
-        "headline_write_speedup": _geomean(
+        "headline_write_speedup": _timing.geomean(
             [r["write"]["speedup"] for r in full_rows]
         ),
     }

@@ -179,16 +179,9 @@ def run_sweep(
 _WORKLOAD_STATE = None
 
 
-def _init_workload_worker(settings, observe: bool = False):
+def _init_workload_worker(settings):
     global _WORKLOAD_STATE
-    from repro.core.runner import _install_worker_fault_handlers
-
     _WORKLOAD_STATE = settings
-    _install_worker_fault_handlers()
-    if observe:
-        from repro.obs.recorder import Recorder, set_recorder
-
-        set_recorder(Recorder())
 
 
 def _sweep_workload_in_worker(job):
@@ -235,15 +228,6 @@ def _sweep_workload_in_worker(job):
     finally:
         if cache is not None:
             cache.close()
-
-
-def _sweep_workload_in_worker_observed(job):
-    """Workload task when observability is on: (document, obs snapshot)."""
-    recorder = get_recorder()
-    recorder.reset()
-    with recorder.span("analysis.cachesweep.worker.%s" % job[0]):
-        document = _sweep_workload_in_worker(job)
-    return document, recorder.snapshot()
 
 
 def plan_inner_jobs(jobs: int, n_workloads: int) -> list[int]:
@@ -343,7 +327,6 @@ def _sweep_all_parallel(
     from repro.core.resilience import ResilientMap
 
     recorder = get_recorder()
-    observe = recorder.enabled
     cache_url = getattr(cache, "base_url", None)
     settings = {
         "socs": list(socs) if socs is not None else None,
@@ -368,7 +351,7 @@ def _sweep_all_parallel(
     jobs_used = min(jobs, len(names))
     inner_jobs = plan_inner_jobs(jobs, len(names))
     values, failures = ResilientMap(
-        _sweep_workload_in_worker_observed if observe else _sweep_workload_in_worker,
+        _sweep_workload_in_worker,
         [
             (name, checkpoint_for(name), inner)
             for name, inner in zip(names, inner_jobs)
@@ -377,20 +360,16 @@ def _sweep_all_parallel(
         policy=retry_policy,
         jobs=jobs_used,
         initializer=_init_workload_worker,
-        initargs=(settings, observe),
+        initargs=(settings,),
         raise_failures=retry_policy is None,
         pool_factory=pool_factory,
+        span="analysis.cachesweep.worker.%s",
     ).run()
-    documents = {}
-    for name, value in zip(names, values):
-        if value is None:
-            continue
-        if observe:
-            document, snapshot = value
-            recorder.merge_snapshot(snapshot)
-        else:
-            document = value
-        documents[name] = document
+    documents = {
+        name: document
+        for name, document in zip(names, values)
+        if document is not None
+    }
     for failure in failures:
         # A quarantined *workload* (its worker kept dying) still gets a
         # document, shaped like a fully-failed sweep, so reports can
@@ -408,7 +387,7 @@ def _sweep_all_parallel(
                 }
             ],
         }
-    if observe:
+    if recorder.enabled:
         recorder.counters.add(
             "analysis.cachesweep.parallel_workloads", len(names)
         )

@@ -68,17 +68,6 @@ def _run_experiment(index: int) -> FigureResult:
     return EXPERIMENTS[index]()
 
 
-def _run_experiment_observed(index: int):
-    """Worker task when observability is on: (result, obs snapshot)."""
-    from repro.obs.recorder import Recorder, set_recorder
-
-    recorder = Recorder()
-    set_recorder(recorder)
-    with recorder.span("analysis.figure.%s" % EXPERIMENTS[index].__name__):
-        result = EXPERIMENTS[index]()
-    return result, recorder.snapshot()
-
-
 def all_results(
     jobs: int = 1,
     cache: MemoCache | None = None,
@@ -149,47 +138,22 @@ def _all_results(
             else:
                 pending.append(index)
         if pending:
-            observed = recorder.enabled
 
-            def on_success(position, name, value):
-                if journal is None:
-                    return
-                # The serial path yields a bare FigureResult even when
-                # the recorder is on; only observed *parallel* workers
-                # return (result, snapshot) tuples.
-                result = value[0] if isinstance(value, tuple) else value
-                journal.append(name, result.to_jsonable())
+            def on_success(position, name, result):
+                if journal is not None:
+                    journal.append(name, result.to_jsonable())
 
-            def run_serial(index):
-                with recorder.span(
-                    "analysis.figure.%s" % EXPERIMENTS[index].__name__
-                ):
-                    return _run_experiment(index)
-
-            parallel = jobs > 1 and len(pending) > 1
-            mapper = ResilientMap(
-                (_run_experiment_observed if observed else _run_experiment)
-                if parallel
-                else run_serial,
+            values, failures = ResilientMap(
+                _run_experiment,
                 pending,
                 names=[EXPERIMENTS[i].__name__ for i in pending],
                 policy=retry_policy,
-                jobs=min(jobs, len(pending)) if parallel else 1,
+                jobs=min(jobs, len(pending)),
                 on_success=on_success,
                 raise_failures=retry_policy is None,
-                pool_factory=pool_factory if parallel else None,
-            )
-            values, failures = mapper.run()
-            if parallel and observed:
-                unwrapped = []
-                for value in values:
-                    if value is None:
-                        unwrapped.append(None)
-                        continue
-                    result, snapshot = value
-                    recorder.merge_snapshot(snapshot)
-                    unwrapped.append(result)
-                values = unwrapped
+                pool_factory=pool_factory,
+                span="analysis.figure.%s",
+            ).run()
             failed = {f.target: f for f in failures}
             for index, result in zip(pending, values):
                 name = EXPERIMENTS[index].__name__

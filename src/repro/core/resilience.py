@@ -14,7 +14,12 @@ retry — never the sweep.  This module is the resilience layer under
   future per item, crash containment (a ``BrokenProcessPool`` respawns
   the pool and costs the in-flight items one retry), hang detection
   (timed-out workers are killed and the pool respawned without losing
-  completed items), and quarantine of items that exhaust their retries;
+  completed items), and quarantine of items that exhaust their retries.
+  It also owns the pool-worker protocol: every worker runs the caller's
+  initializer inside one wrapper (fault handlers, a one-line cause on
+  stderr if set-up fails, a worker recorder when observing), and with
+  the recorder on each task returns its observability snapshot, which
+  the map merges home in input order;
 * :class:`TargetFailure` — the audit record of one quarantined item;
 * :class:`SweepCheckpoint` — an append-only, fsync'd journal of
   completed results keyed by config+code-version hash (like
@@ -44,9 +49,12 @@ import hashlib
 import json
 import os
 import signal
+import sys
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from repro.obs.recorder import get_recorder
@@ -125,6 +133,78 @@ class TargetFailure:
 # The resilient map: per-item futures with retry/timeout/quarantine
 # ----------------------------------------------------------------------
 
+def install_worker_fault_handlers() -> None:
+    """Make worker deaths diagnosable.
+
+    ``faulthandler`` turns hard crashes (segfaults, aborts) into stderr
+    tracebacks, and a SIGTERM handler does the same for workers the
+    resilience layer kills after a timeout — so a killed/hung worker
+    leaves evidence of *where* it was instead of dying silently.
+    """
+    import faulthandler
+
+    try:
+        faulthandler.enable()
+    except (RuntimeError, OSError):
+        pass
+
+    def _dump_and_exit(signum, frame):
+        faulthandler.dump_traceback()
+        os._exit(128 + signum)
+
+    try:
+        signal.signal(signal.SIGTERM, _dump_and_exit)
+    except (ValueError, OSError):
+        # Not the main thread of the worker, or an exotic platform.
+        pass
+
+
+def _init_pool_worker(initializer, initargs, worker_recorder: bool) -> None:
+    """The initializer every :class:`ResilientMap` pool worker runs.
+
+    Installs the fault handlers, then runs the caller's ``initializer``
+    (which only builds its engine or state).  An initializer failure
+    normally surfaces in the parent as an opaque ``BrokenProcessPool``,
+    so it leaves a one-line cause on stderr first.  With
+    ``worker_recorder`` set the worker records into its own recorder: a
+    recorder cannot cross the process boundary (it holds locks), so each
+    task ships a snapshot back instead (:func:`_snapshot_task`).
+    """
+    install_worker_fault_handlers()
+    if initializer is not None:
+        try:
+            initializer(*initargs)
+        except BaseException as exc:
+            print(
+                "repro: pool worker initializer failed: %r" % exc,
+                file=sys.stderr,
+                flush=True,
+            )
+            raise
+    if worker_recorder:
+        from repro.obs.recorder import Recorder, set_recorder
+
+        set_recorder(Recorder())
+
+
+def _snapshot_task(fn, span, item):
+    """One worker task under a recorder: ``(fn(item), its snapshot)``.
+
+    The worker's recorder is reset first, so the snapshot holds exactly
+    this task's spans and counters (``span`` names the span around it).
+    """
+    recorder = get_recorder()
+    recorder.reset()
+    with _item_span(recorder, span):
+        value = fn(item)
+    return value, recorder.snapshot()
+
+
+def _item_span(recorder, span: str | None):
+    """The span one item runs inside (none without a span template)."""
+    return recorder.span(span) if span is not None else nullcontext()
+
+
 class _ItemState:
     """Book-keeping for one in-flight sweep item."""
 
@@ -150,13 +230,21 @@ class ResilientMap:
     workers are terminated, the pool respawned, and only the hung item
     charged a retry; innocent in-flight items are resubmitted for free).
 
+    When the recorder is on, a parallel run submits each item as a
+    snapshot task (:func:`_snapshot_task`) and merges the returned
+    snapshots into the parent's recorder in input order once the map
+    finishes, so additive sums stay deterministic; a quarantined item
+    contributes no snapshot.  Callers only ever see bare values.
+
     Args:
         fn: the task; must be module-level picklable when ``jobs > 1``.
         items: task inputs, one per item.
         names: labels for counters/failures (defaults to ``str(item)``).
         policy: retry policy; ``None`` means one attempt.
         jobs: worker processes; ``1`` runs in-process.
-        initializer/initargs: forwarded to the pool.
+        initializer/initargs: the caller's worker set-up (builds its
+            engine or state); every worker runs it wrapped in
+            :func:`_init_pool_worker` (see :attr:`worker_init`).
         on_success: ``fn(index, name, value)`` called once per completed
             item, in completion order (checkpoint writes hook in here).
         raise_failures: when True (the legacy contract), an exhausted
@@ -169,7 +257,10 @@ class ResilientMap:
             teardown) works, so the same retry/quarantine/checkpoint
             policy can drive a local pool today and a remote worker
             fleet tomorrow.  Default: a ``ProcessPoolExecutor`` built
-            from ``jobs``/``initializer``/``initargs``.
+            from ``jobs`` and :attr:`worker_init`.
+        span: span-name template with one ``%s`` for the item name,
+            e.g. ``"core.runner.target.%s"``; each item runs inside that
+            span, in-process or in its worker.
 
     :meth:`run` returns ``(values, failures)``: ``values`` holds one
     result per item in input order (``None`` for quarantined items), and
@@ -191,6 +282,7 @@ class ResilientMap:
         on_success=None,
         raise_failures: bool = False,
         pool_factory=None,
+        span: str | None = None,
     ):
         self.fn = fn
         self.items = list(items)
@@ -208,6 +300,8 @@ class ResilientMap:
         self.on_success = on_success
         self.raise_failures = raise_failures
         self.pool_factory = pool_factory
+        self.span = span
+        self._observe = False
 
     # ------------------------------------------------------------------
     def run(self):
@@ -215,17 +309,35 @@ class ResilientMap:
             return self._run_parallel()
         return self._run_serial()
 
+    @property
+    def worker_init(self):
+        """``(initializer, initargs)`` for every worker of this map.
+
+        The caller's set-up wrapped in :func:`_init_pool_worker`; pool
+        factories (a local pool, :func:`repro.fleet.fleet_pool_factory`)
+        hand this pair to their workers.
+        """
+        return _init_pool_worker, (
+            self.initializer, tuple(self.initargs), self._observe
+        )
+
+    def _span_name(self, name: str) -> str | None:
+        return self.span % name if self.span is not None else None
+
     # ------------------------------------------------------------------
     # Serial path
     # ------------------------------------------------------------------
     def _run_serial(self):
+        recorder = get_recorder()
         values = [None] * len(self.items)
         failures: list[TargetFailure] = []
         for index, (name, item) in enumerate(zip(self.names, self.items)):
             state = _ItemState(index, name, item)
+            span = self._span_name(name)
             while True:
                 try:
-                    value = self.fn(item)
+                    with _item_span(recorder, span):
+                        value = self.fn(item)
                 except Exception as exc:
                     retry = self._attempt_failed(state, exc, failures)
                     if not retry:
@@ -245,8 +357,11 @@ class ResilientMap:
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        counters = get_recorder().counters
+        recorder = get_recorder()
+        counters = recorder.counters
+        self._observe = recorder.enabled
         values = [None] * len(self.items)
+        snapshots = [None] * len(self.items)
         failures: list[TargetFailure] = []
         queue = deque(
             _ItemState(index, name, item)
@@ -272,7 +387,7 @@ class ResilientMap:
                     state = queue.popleft()
                     state.submitted_s = time.monotonic()
                     try:
-                        inflight[pool.submit(self.fn, state.item)] = state
+                        inflight[pool.submit(self._task(state), state.item)] = state
                     except BrokenProcessPool:
                         # The pool died between waits; respawn and let the
                         # next iteration resubmit (no attempt charged).
@@ -307,6 +422,8 @@ class ResilientMap:
                         if self._attempt_failed(state, exc, failures):
                             waiting.append(self._retry_at(state))
                     else:
+                        if self._observe:
+                            value, snapshots[state.index] = value
                         values[state.index] = value
                         if self.on_success is not None:
                             self.on_success(state.index, state.name, value)
@@ -339,25 +456,33 @@ class ResilientMap:
             raise
         else:
             pool.shutdown(wait=True)
+        for snapshot in snapshots:
+            if snapshot is not None:
+                recorder.merge_snapshot(snapshot)
         return values, failures
+
+    def _task(self, state: _ItemState):
+        """The callable submitted for ``state``'s item."""
+        if not self._observe:
+            return self.fn
+        return partial(_snapshot_task, self.fn, self._span_name(state.name))
 
     def _new_pool(self):
         if self.pool_factory is not None:
             return self.pool_factory(self)
         from concurrent.futures import ProcessPoolExecutor
 
+        initializer, initargs = self.worker_init
         return ProcessPoolExecutor(
-            max_workers=self.jobs,
-            initializer=self.initializer,
-            initargs=self.initargs,
+            max_workers=self.jobs, initializer=initializer, initargs=initargs
         )
 
     def _kill_pool(self, pool) -> None:
         """Tear a (possibly hung) pool down without waiting on its workers.
 
-        Workers get SIGTERM first — the runner's worker initializer
-        installs a handler that dumps a traceback to stderr before
-        exiting — then SIGKILL if they linger.
+        Workers get SIGTERM first — :func:`_init_pool_worker` installs a
+        handler that dumps a traceback to stderr before exiting — then
+        SIGKILL if they linger.
 
         Custom executors (the ``pool_factory`` seam) opt into teardown
         explicitly: a callable ``kill()`` on the executor is preferred

@@ -18,8 +18,8 @@ published counter surface) is exactly the legacy fail-fast one.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from repro.config import SystemConfig
@@ -165,70 +165,23 @@ class SweepResult:
 _WORKER_ENGINE: OffloadEngine | None = None
 
 
-def _install_worker_fault_handlers() -> None:
-    """Make worker deaths diagnosable.
-
-    ``faulthandler`` turns hard crashes (segfaults, aborts) into stderr
-    tracebacks, and a SIGTERM handler does the same for workers the
-    resilience layer kills after a timeout — so a killed/hung worker
-    leaves evidence of *where* it was instead of dying silently.
-    """
-    import faulthandler
-    import os
-    import signal
-
-    try:
-        faulthandler.enable()
-    except (RuntimeError, OSError):
-        pass
-
-    def _dump_and_exit(signum, frame):
-        faulthandler.dump_traceback()
-        os._exit(128 + signum)
-
-    try:
-        signal.signal(signal.SIGTERM, _dump_and_exit)
-    except (ValueError, OSError):
-        # Not the main thread of the worker, or an exotic platform.
-        pass
-
-
-def _init_worker(system, energy_params, observe: bool = False) -> None:
+def _init_worker(system, energy_params) -> None:
     global _WORKER_ENGINE
-    _install_worker_fault_handlers()
-    try:
-        _WORKER_ENGINE = OffloadEngine(system, energy_params)
-    except BaseException as exc:
-        # An initializer failure normally surfaces in the parent as an
-        # opaque BrokenProcessPool; leave a one-line cause on stderr.
-        print(
-            "repro: pool worker initializer failed: %r" % exc,
-            file=sys.stderr,
-            flush=True,
-        )
-        raise
-    if observe:
-        # A recorder cannot cross the process boundary (it holds locks),
-        # so each worker records into its own and ships snapshots back.
-        from repro.obs.recorder import Recorder, set_recorder
-
-        set_recorder(Recorder())
+    _WORKER_ENGINE = OffloadEngine(system, energy_params)
 
 
 def _compare_in_worker(target: PimTarget) -> "TargetComparison":
+    return _compare(_WORKER_ENGINE, target)
+
+
+def _compare(engine: OffloadEngine, target: PimTarget) -> TargetComparison:
+    """One target on all machines, published when the recorder is on."""
     maybe_inject_fault(target.name)
-    return _WORKER_ENGINE.compare(target)
-
-
-def _compare_in_worker_observed(target: PimTarget):
-    """Worker task when observability is on: (comparison, obs snapshot)."""
+    comparison = engine.compare(target)
     recorder = get_recorder()
-    recorder.reset()
-    with recorder.span("core.runner.target.%s" % target.name):
-        maybe_inject_fault(target.name)
-        comparison = _WORKER_ENGINE.compare(target)
-    _publish_comparison(recorder, comparison)
-    return comparison, recorder.snapshot()
+    if recorder.enabled:
+        _publish_comparison(recorder, comparison)
+    return comparison
 
 
 def _publish_comparison(recorder, comparison: TargetComparison) -> None:
@@ -316,21 +269,9 @@ class ExperimentRunner:
                 fresh: dict[str, TargetComparison] = {}
                 failures: list[TargetFailure] = []
                 if pending:
-                    def journal_success(index, name, value):
-                        if journal is None:
-                            return
-                        comparison = value[0] if isinstance(value, tuple) else value
-                        journal.append(name, comparison_to_jsonable(comparison))
-
-                    if jobs > 1 and len(pending) > 1:
-                        values, failures = self._evaluate_parallel(
-                            pending, jobs, retry_policy, recorder,
-                            journal_success, pool_factory,
-                        )
-                    else:
-                        values, failures = self._evaluate_serial(
-                            pending, retry_policy, recorder, journal_success
-                        )
+                    values, failures = self._evaluate_pending(
+                        pending, jobs, retry_policy, journal, pool_factory
+                    )
                     fresh = {
                         t.name: v for t, v in zip(pending, values) if v is not None
                     }
@@ -347,58 +288,31 @@ class ExperimentRunner:
         return SweepResult(comparisons=comparisons, failures=failures)
 
     # ------------------------------------------------------------------
-    def _evaluate_serial(self, targets, retry_policy, recorder, on_success):
-        def compare(target):
-            with recorder.span("core.runner.target.%s" % target.name):
-                maybe_inject_fault(target.name)
-                comparison = self.engine.compare(target)
-            if recorder.enabled:
-                _publish_comparison(recorder, comparison)
-            return comparison
+    def _evaluate_pending(self, targets, jobs, retry_policy, journal, pool_factory):
+        """Targets through one :class:`ResilientMap`, in-process or pooled."""
+        jobs = min(jobs, len(targets))
+        if jobs > 1:
+            self._check_config_ships()
+
+        def journal_success(index, name, comparison):
+            if journal is not None:
+                journal.append(name, comparison_to_jsonable(comparison))
 
         return ResilientMap(
-            compare,
+            _compare_in_worker if jobs > 1 else partial(_compare, self.engine),
             targets,
             names=[t.name for t in targets],
             policy=retry_policy,
-            jobs=1,
-            on_success=on_success,
-            raise_failures=retry_policy is None,
-        ).run()
-
-    def _evaluate_parallel(
-        self, targets, jobs, retry_policy, recorder, on_success,
-        pool_factory=None,
-    ):
-        self._check_config_ships(recorder)
-        mapper = ResilientMap(
-            _compare_in_worker_observed if recorder.enabled else _compare_in_worker,
-            targets,
-            names=[t.name for t in targets],
-            policy=retry_policy,
-            jobs=min(jobs, len(targets)),
+            jobs=jobs,
             initializer=_init_worker,
-            initargs=(self.system, self.energy_params, recorder.enabled),
-            on_success=on_success,
+            initargs=(self.system, self.energy_params),
+            on_success=journal_success,
             raise_failures=retry_policy is None,
             pool_factory=pool_factory,
-        )
-        values, failures = mapper.run()
-        if recorder.enabled:
-            # Merge worker snapshots in input order, as the legacy
-            # pool.map path did, so additive sums stay deterministic.
-            unwrapped = []
-            for value in values:
-                if value is None:
-                    unwrapped.append(None)
-                    continue
-                comparison, snapshot = value
-                recorder.merge_snapshot(snapshot)
-                unwrapped.append(comparison)
-            values = unwrapped
-        return values, failures
+            span="core.runner.target.%s",
+        ).run()
 
-    def _check_config_ships(self, recorder) -> None:
+    def _check_config_ships(self) -> None:
         """Fail fast, with a cause, when the config cannot reach workers.
 
         Without this, a config that does not pickle cleanly dies inside
@@ -408,7 +322,7 @@ class ExperimentRunner:
         import pickle
 
         try:
-            pickle.dumps((self.system, self.energy_params, recorder.enabled))
+            pickle.dumps((self.system, self.energy_params))
         except Exception as exc:
             raise ValueError(
                 "configuration cannot be shipped to pool workers "
@@ -470,27 +384,12 @@ def _init_sweep_worker(
     artifact_path, content_hash, timing_params, instructions_per_access
 ):
     global _SWEEP_TRACE_STATE
-    _install_worker_fault_handlers()
-
-    try:
-        artifact = _open_shared_artifact(artifact_path, content_hash)
-        _SWEEP_TRACE_STATE = (
-            artifact.trace(), timing_params, instructions_per_access
-        )
-    except BaseException as exc:
-        print(
-            "repro: sweep worker initializer failed: %r" % exc,
-            file=sys.stderr,
-            flush=True,
-        )
-        raise
+    artifact = _open_shared_artifact(artifact_path, content_hash)
+    _SWEEP_TRACE_STATE = (artifact.trace(), timing_params, instructions_per_access)
 
 
 def _sweep_config_in_worker(job):
-    label, soc = job
-    maybe_inject_fault(label)
-    trace, params, ipa = _SWEEP_TRACE_STATE
-    return _evaluate_sweep_config(trace, soc, params, ipa)
+    return _evaluate_sweep_config(*_SWEEP_TRACE_STATE, job)
 
 
 #: Per-process batch engine for sharded sweeps (set by the shard pool
@@ -499,39 +398,22 @@ _SHARD_EVALUATOR = None
 
 
 def _init_shard_worker(
-    artifact_path,
-    content_hash,
-    timing_params,
-    instructions_per_access,
-    observe: bool = False,
+    artifact_path, content_hash, timing_params, instructions_per_access
 ):
     global _SHARD_EVALUATOR
-    _install_worker_fault_handlers()
     from repro.sim.batch import ShardEvaluator
 
-    try:
-        # Zero-copy trace sharing: the worker opens the artifact by path
-        # *and* content hash — no trace bytes cross the pool boundary,
-        # and a file swapped under the path is rejected at open.  A
-        # worker without the path (remote fleet) resolves the hash
-        # against its local store instead.
-        artifact = _open_shared_artifact(artifact_path, content_hash)
-        _SHARD_EVALUATOR = ShardEvaluator(
-            artifact.trace(),
-            params=timing_params,
-            instructions_per_access=instructions_per_access,
-        )
-    except BaseException as exc:
-        print(
-            "repro: shard worker initializer failed: %r" % exc,
-            file=sys.stderr,
-            flush=True,
-        )
-        raise
-    if observe:
-        from repro.obs.recorder import Recorder, set_recorder
-
-        set_recorder(Recorder())
+    # Zero-copy trace sharing: the worker opens the artifact by path
+    # *and* content hash — no trace bytes cross the pool boundary, and a
+    # file swapped under the path is rejected at open.  A worker without
+    # the path (remote fleet) resolves the hash against its local store
+    # instead.
+    artifact = _open_shared_artifact(artifact_path, content_hash)
+    _SHARD_EVALUATOR = ShardEvaluator(
+        artifact.trace(),
+        params=timing_params,
+        instructions_per_access=instructions_per_access,
+    )
 
 
 def _sweep_shard_in_worker(job):
@@ -553,20 +435,13 @@ def _sweep_shard_in_worker(job):
     ]
 
 
-def _sweep_shard_in_worker_observed(job):
-    """Shard task when observability is on: (rows, obs snapshot)."""
-    recorder = get_recorder()
-    recorder.reset()
-    with recorder.span("core.runner.shard.%s" % job[0]):
-        rows = _sweep_shard_in_worker(job)
-    return rows, recorder.snapshot()
-
-
-def _evaluate_sweep_config(trace, soc, timing_params, instructions_per_access):
+def _evaluate_sweep_config(trace, timing_params, instructions_per_access, job):
     """One geometry's row: serial cache replay + serial timing replay."""
     from repro.sim.cache import CacheHierarchy
     from repro.sim.timing import TimingSimulator
 
+    label, soc = job
+    maybe_inject_fault(label)
     stats = CacheHierarchy(soc).replay_fast(trace)
     timing = TimingSimulator(soc, timing_params).replay_fast(
         trace, instructions_per_access
@@ -733,8 +608,7 @@ class ConfigSweep:
                         pending = []
                 if pending:
                     values, failures = self._evaluate_serial(
-                        pending, jobs, retry_policy, journal, recorder,
-                        pool_factory,
+                        pending, jobs, retry_policy, journal, pool_factory
                     )
                     fresh.update(
                         (label, row)
@@ -801,10 +675,10 @@ class ConfigSweep:
         and each shard runs in a pool worker that memory-maps the
         artifact — only geometry specs travel out and compact row dicts
         travel back.  Shard workers publish per-config ``sim.*``
-        counters into their own recorders (merged here); the plan-level
-        ``sim.replay_batch.*`` records are published exactly once by
-        this parent, so the merged registry matches a single-process
-        batched sweep.  A shard that exhausts its retries is contained:
+        counters into their own recorders (the map merges them home);
+        the plan-level ``sim.replay_batch.*`` records are published
+        exactly once by this parent, so the merged registry matches a
+        single-process batched sweep.  A shard that exhausts its retries is contained:
         its configs fall back to the in-process serial path
         (``core.runner.shard_fallbacks``).
         """
@@ -823,18 +697,15 @@ class ConfigSweep:
         if len(shards) < 2:
             return None
         shard_names = ["shard-%d" % k for k in range(len(shards))]
-        observe = recorder.enabled
 
-        def journal_success(index, name, value):
-            if journal is None:
-                return
-            rows = value[0] if isinstance(value, tuple) else value
-            for _, label, row in rows:
-                journal.append(label, row)
+        def journal_success(index, name, rows):
+            if journal is not None:
+                for _, label, row in rows:
+                    journal.append(label, row)
 
         jobs_used = min(jobs, len(shards))
         values, shard_failures = ResilientMap(
-            _sweep_shard_in_worker_observed if observe else _sweep_shard_in_worker,
+            _sweep_shard_in_worker,
             list(zip(shard_names, shards)),
             names=shard_names,
             policy=retry_policy,
@@ -845,23 +716,18 @@ class ConfigSweep:
                 self.artifact.content_hash,
                 self.timing_params,
                 self.instructions_per_access,
-                observe,
             ),
             on_success=journal_success,
             raise_failures=retry_policy is None,
             pool_factory=pool_factory,
+            span="core.runner.shard.%s",
         ).run()
-        fresh: dict[str, dict] = {}
-        for value in values:
-            if value is None:
-                continue
-            if observe:
-                rows, snapshot = value
-                recorder.merge_snapshot(snapshot)
-            else:
-                rows = value
-            for _, label, row in rows:
-                fresh[label] = row
+        fresh = {
+            label: row
+            for rows in values
+            if rows is not None
+            for _, label, row in rows
+        }
         failures: list[TargetFailure] = []
         fb_pending = []
         if shard_failures:
@@ -876,7 +742,7 @@ class ConfigSweep:
                     "core.runner.shard_fallbacks", len(shard_failures)
                 )
             fb_values, failures = self._evaluate_serial(
-                fb_pending, 1, retry_policy, journal, recorder
+                fb_pending, 1, retry_policy, journal
             )
             fresh.update(
                 (label, row)
@@ -924,52 +790,41 @@ class ConfigSweep:
         return path
 
     def _evaluate_serial(
-        self, pending, jobs, retry_policy, journal, recorder,
-        pool_factory=None,
+        self, pending, jobs, retry_policy, journal, pool_factory=None
     ):
         def journal_success(index, name, value):
             if journal is not None:
                 journal.append(name, value)
 
-        names = [label for label, _ in pending]
-        if jobs > 1 and len(pending) > 1:
-            path = self._ensure_artifact_path()
-            mapper = ResilientMap(
-                _sweep_config_in_worker,
-                pending,
-                names=names,
-                policy=retry_policy,
-                jobs=min(jobs, len(pending)),
-                initializer=_init_sweep_worker,
-                initargs=(
-                    str(path),
-                    self.artifact.content_hash,
-                    self.timing_params,
-                    self.instructions_per_access,
-                ),
-                on_success=journal_success,
-                raise_failures=retry_policy is None,
-                pool_factory=pool_factory,
+        jobs = min(jobs, len(pending))
+        if jobs > 1:
+            fn = _sweep_config_in_worker
+            initargs = (
+                str(self._ensure_artifact_path()),
+                self.artifact.content_hash,
+                self.timing_params,
+                self.instructions_per_access,
             )
-            return mapper.run()
-        trace = self.artifact.trace()
-
-        def evaluate_one(job):
-            label, soc = job
-            with recorder.span("core.runner.config.%s" % label):
-                maybe_inject_fault(label)
-                return _evaluate_sweep_config(
-                    trace, soc, self.timing_params, self.instructions_per_access
-                )
-
+        else:
+            fn = partial(
+                _evaluate_sweep_config,
+                self.artifact.trace(),
+                self.timing_params,
+                self.instructions_per_access,
+            )
+            initargs = ()
         return ResilientMap(
-            evaluate_one,
+            fn,
             pending,
-            names=names,
+            names=[label for label, _ in pending],
             policy=retry_policy,
-            jobs=1,
+            jobs=jobs,
+            initializer=_init_sweep_worker,
+            initargs=initargs,
             on_success=journal_success,
             raise_failures=retry_policy is None,
+            pool_factory=pool_factory,
+            span="core.runner.config.%s",
         ).run()
 
     def _journal(self, checkpoint) -> SweepCheckpoint | None:

@@ -254,7 +254,9 @@ def fleet_pool_factory(manifest):
     ``manifest`` is a :class:`FleetManifest` or a path to one.  The
     returned factory shares one :class:`FleetDispatcher` across every
     (re)spawn, so worker-eviction state survives timeout teardowns
-    instead of re-discovering dead workers after each respawn.
+    instead of re-discovering dead workers after each respawn.  Fleet
+    workers run the map's ``worker_init``: the same wrapped set-up a
+    local pool worker runs.
     """
     if isinstance(manifest, (str, Path)):
         manifest = FleetManifest.load(manifest)
@@ -262,11 +264,12 @@ def fleet_pool_factory(manifest):
     dispatcher = FleetDispatcher(manifest, secret=secret)
 
     def factory(mapper) -> FleetExecutor:
+        initializer, initargs = mapper.worker_init
         return FleetExecutor(
             manifest,
             dispatcher=dispatcher,
-            initializer=getattr(mapper, "initializer", None),
-            initargs=getattr(mapper, "initargs", ()) or (),
+            initializer=initializer,
+            initargs=initargs,
             secret=secret,
         )
 

@@ -323,10 +323,10 @@ def serve_worker(
     SIGTERM triggers a graceful drain (finish the in-flight job,
     deregister, exit 0) instead of the crash-dump exit.
     """
-    from repro.core.runner import _install_worker_fault_handlers
+    from repro.core.resilience import install_worker_fault_handlers
     from repro.fleet.membership import RegistrationClient, local_member_record
 
-    _install_worker_fault_handlers()
+    install_worker_fault_handlers()
     server = WorkerServer(
         host,
         port,

@@ -187,6 +187,33 @@ class TestConfigSweep:
         assert counters["core.runner.config_sweep_points"] == 3
         assert counters["sim.replay_batch.configs"] == 6  # cache + timing
 
+    def test_parallel_serial_sweep_reports_worker_observations(self, tmp_path):
+        """Per-config pool workers ship their counters and spans home.
+
+        Regression: ``batch=False, jobs=2`` used to drop every worker
+        counter, so its manifest reported no cache replay at all.
+        """
+        artifact = make_artifact(tmp_path)
+        socs = small_grid()
+        observed = {}
+        for jobs in (1, 2):
+            with recording() as obs:
+                ConfigSweep(artifact).evaluate(socs, batch=False, jobs=jobs)
+            observed[jobs] = obs
+        for name in ("sim.cache.trace_accesses", "sim.cache.llc.misses"):
+            assert observed[1].counters.get(name) > 0
+            assert observed[2].counters.get(name) == observed[1].counters.get(name)
+
+        def config_spans(obs):
+            return {
+                s.name for s in obs.spans
+                if s.name.startswith("core.runner.config.")
+            }
+
+        assert config_spans(observed[2]) == config_spans(observed[1]) == {
+            "core.runner.config.%s" % soc_cache_label(s) for s in socs
+        }
+
 
 class TestCacheSweepAnalysis:
     def test_run_sweep_shares_one_artifact(self, tmp_path):

@@ -458,19 +458,84 @@ class TestKillPool:
         assert rec.counters.get("core.resilience.timeouts") == 2
 
 
+def _worker_init(*initargs):
+    """The wrapped set-up a ResilientMap hands to every pool worker."""
+    return ResilientMap(
+        _probe_handlers, [], initializer=_init_worker, initargs=initargs
+    ).worker_init
+
+
 class TestWorkerDiagnostics:
     def test_pool_workers_install_fault_handlers(self):
+        initializer, initargs = _worker_init(None, None)
         with ProcessPoolExecutor(
-            max_workers=1, initializer=_init_worker, initargs=(None, None)
+            max_workers=1, initializer=initializer, initargs=initargs
         ) as pool:
             enabled, custom = pool.submit(_probe_handlers, 0).result()
         assert enabled
         assert custom
 
     def test_initializer_failure_leaves_cause_on_stderr(self, capsys):
+        initializer, initargs = _worker_init(object(), None)
         with pytest.raises(BaseException):
-            _init_worker(object(), None)
+            initializer(*initargs)
         assert "pool worker initializer failed" in capsys.readouterr().err
+
+
+def _counted_square(x):
+    """A task that publishes counters and fails on negative inputs."""
+    from repro.obs.recorder import get_recorder
+
+    counters = get_recorder().counters
+    counters.add("test.calls", 1)
+    counters.add("test.total", abs(x))
+    if x < 0:
+        raise ValueError("negative input %d" % x)
+    return x * x
+
+
+class TestResilientMapObservation:
+    """The pool-worker protocol: bare values out, snapshots merged home."""
+
+    def _run(self, items, jobs):
+        seen = []
+        with strict_mode(False), recording() as rec:
+            values, failures = ResilientMap(
+                _counted_square,
+                items,
+                names=["n%d" % i for i in range(len(items))],
+                jobs=jobs,
+                on_success=lambda index, name, value: seen.append(value),
+                span="test.item.%s",
+            ).run()
+        return values, failures, seen, rec
+
+    def test_parallel_map_matches_serial_observations(self):
+        items = [1, 2, 3, 4]
+        values, failures, seen, rec = self._run(items, jobs=2)
+        assert values == [1, 4, 9, 16]
+        assert sorted(seen) == [1, 4, 9, 16]
+        assert not failures
+        assert sorted(s.name for s in rec.spans) == [
+            "test.item.n%d" % i for i in range(len(items))
+        ]
+        _, _, serial_seen, serial = self._run(items, jobs=1)
+        assert serial_seen == [1, 4, 9, 16]
+        assert sorted(s.name for s in serial.spans) == sorted(
+            s.name for s in rec.spans
+        )
+        assert rec.counters.as_dict() == serial.counters.as_dict()
+
+    def test_quarantined_item_contributes_no_snapshot(self):
+        values, failures, seen, rec = self._run([1, -5, 3], jobs=2)
+        assert values == [1, None, 9]
+        assert sorted(seen) == [1, 9]
+        assert [f.target for f in failures] == ["n1"]
+        assert rec.counters.get("test.calls") == 2
+        assert rec.counters.get("test.total") == 4
+        assert sorted(s.name for s in rec.spans) == [
+            "test.item.n0", "test.item.n2"
+        ]
 
 
 class _Unpicklable:

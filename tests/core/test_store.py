@@ -616,16 +616,15 @@ class TestCompaction:
         other.append("a", 10)  # later blob wins on merge
         other.close()
         with recording() as rec:
-            stats = store.compact(extra_entries={"legacy": 9, "a": 0})
+            stats = store.compact()
         assert isinstance(stats, CompactionStats)
-        assert stats.entries == 3  # a, b, legacy
+        assert stats.entries == 2  # a, b
         assert stats.segments_merged == 2
-        assert stats.legacy_folded == 2
         assert stats.quarantined == 0
         assert rec.counters.get("core.store.compactions") == 1
         merged = SegmentStore(tmp_path, key="k", prefix="seg").entries()
-        # Segment entries shadow legacy extras; the later blob wins.
-        assert merged == {"a": 10, "b": 2, "legacy": 9}
+        # The later blob's "a" shadows the earlier one.
+        assert merged == {"a": 10, "b": 2}
         assert len(list(tmp_path.glob("seg-*.seg"))) == 1
 
     def test_dirty_blob_is_quarantined_not_deleted(self, tmp_path):
