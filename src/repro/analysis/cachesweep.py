@@ -203,8 +203,13 @@ def _sweep_workload_in_worker(job):
     cache = None
     if s.get("cache_url") is not None:
         from repro.fleet.cache import RemoteMemoCache
+        from repro.fleet.manifest import load_secret
 
-        cache = RemoteMemoCache(s["cache_url"], version=s["cache_version"])
+        # Signed with this process's own fleet secret: a secret never
+        # travels in a job envelope or the initializer's arguments.
+        cache = RemoteMemoCache(
+            s["cache_url"], version=s["cache_version"], secret=load_secret()
+        )
     elif s["cache_dir"] is not None:
         cache = MemoCache(
             s["cache_dir"],

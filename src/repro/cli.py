@@ -161,38 +161,23 @@ def _fleet_setup(args):
 
     manifest = FleetManifest.load(args.fleet)
     if getattr(args, "jobs", 1) == 1:
-        workers = len(manifest.workers)
-        if not workers and manifest.gateway is not None:
-            # Elastic fleet: the gateway knows the live member count.
-            from repro.fleet.wire import FleetTransportError, http_json
-
-            try:
-                status, doc = http_json(
-                    "GET",
-                    manifest.gateway.base_url + "/status",
-                    timeout=5.0,
-                    secret=manifest.load_secret(),
-                )
-                if status == 200:
-                    workers = sum(
-                        1 for w in doc.get("workers", []) if w.get("alive")
-                    )
-            except FleetTransportError:
-                pass  # gateway down: run serial; retries still reach it
-        args.jobs = max(workers, 1)
+        # The gateway knows the live worker count; when it is down, run
+        # serial (retries still reach it).
+        doc = _gateway_status(manifest, manifest.load_secret())
+        args.jobs = max(len(_alive_workers(doc)), 1)
     return fleet_pool_factory(manifest), manifest
 
 
 def _memo_cache(args, fleet_manifest=None):
     """The memo cache the cache flags ask for (or None with --no-cache).
 
-    With a fleet manifest that names a gateway, the cache is the
-    gateway's shared one (:class:`repro.fleet.cache.RemoteMemoCache`),
-    so every fleet client sees every other client's finished sweeps.
+    With a fleet manifest, the cache is the gateway's shared one
+    (:class:`repro.fleet.cache.RemoteMemoCache`), so every fleet client
+    sees every other client's finished sweeps.
     """
     if args.no_cache:
         return None
-    if fleet_manifest is not None and fleet_manifest.gateway is not None:
+    if fleet_manifest is not None:
         from repro.fleet.cache import RemoteMemoCache
 
         return RemoteMemoCache(
@@ -529,27 +514,26 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _drain_discover(manifest, secret) -> list:
-    """Worker URLs to drain: the manifest's static list, or for an
-    elastic fleet whatever the gateway currently reports alive."""
-    urls = [spec.base_url for spec in manifest.workers]
-    if urls or manifest.gateway is None:
-        return urls
+def _gateway_status(manifest, secret):
+    """The gateway's ``/status`` document, or None (cause on stderr)."""
     from repro.fleet.wire import FleetTransportError, http_json
 
+    url = manifest.gateway.base_url
     try:
-        status, doc = http_json(
-            "GET",
-            manifest.gateway.base_url + "/status",
-            timeout=5.0,
-            secret=secret,
-        )
+        status, doc = http_json("GET", url + "/status", timeout=5.0, secret=secret)
     except FleetTransportError as exc:
-        print("gateway unreachable: %s" % exc, file=sys.stderr)
-        return []
-    if status != 200:
-        return []
-    return [w["url"] for w in doc.get("workers", []) if w.get("alive")]
+        print("gateway %s unreachable: %s" % (url, exc), file=sys.stderr)
+        return None
+    if status != 200 or not doc.get("ok"):
+        print("gateway %s unhealthy: %r" % (url, doc), file=sys.stderr)
+        return None
+    return doc
+
+
+def _alive_workers(status_doc) -> list:
+    """Worker URLs a gateway ``/status`` document reports alive."""
+    workers = (status_doc or {}).get("workers", [])
+    return [w["url"] for w in workers if w.get("alive")]
 
 
 def _drain_targets(urls, secret) -> int:
@@ -577,26 +561,9 @@ def _drain_targets(urls, secret) -> int:
     return 1 if failures else 0
 
 
-def _worker_secret(args):
-    """The signing secret for a bare worker (no manifest in hand):
-    ``REPRO_FLEET_SECRET`` wins, else ``--secret-file``."""
-    import os
-    from pathlib import Path
-
-    from repro.fleet.wire import FLEET_SECRET_ENV
-
-    env = os.environ.get(FLEET_SECRET_ENV)
-    if env:
-        return env
-    if getattr(args, "secret_file", None):
-        secret = Path(args.secret_file).read_text().strip()
-        if not secret:
-            raise ValueError("fleet secret_file %s is empty" % args.secret_file)
-        return secret
-    return None
-
-
 def _cmd_fleet(args) -> int:
+    from repro.fleet.manifest import load_secret
+
     if args.action == "worker":
         from repro.fleet.worker import serve_worker
 
@@ -607,13 +574,13 @@ def _cmd_fleet(args) -> int:
             register=args.register,
             advertise_host=args.advertise_host,
             weight=args.weight,
-            secret=_worker_secret(args),
+            secret=load_secret(args.secret_file),
             jobs_ttl_s=args.jobs_ttl,
             drain_grace_s=args.drain_grace,
         )
         return 0
     if args.action == "drain" and args.url:
-        return _drain_targets([args.url], _worker_secret(args))
+        return _drain_targets([args.url], load_secret(args.secret_file))
     if not args.fleet:
         print("error: fleet %s requires --fleet PATH" % args.action, file=sys.stderr)
         return 2
@@ -623,66 +590,41 @@ def _cmd_fleet(args) -> int:
     if args.secret_file:
         manifest.secret_file = args.secret_file
     secret = manifest.load_secret()
+    gw = manifest.gateway
     if args.action == "serve":
         from repro.fleet.gateway import serve_gateway
 
-        gw = manifest.gateway
         serve_gateway(
             manifest,
-            host=args.host or (gw.host if gw is not None else "127.0.0.1"),
-            port=args.port
-            if args.port is not None
-            else (gw.port if gw is not None else 0),
+            host=args.host or gw.host,
+            port=args.port if args.port is not None else gw.port,
             cache_dir=args.cache_dir,
             port_file=args.port_file,
             secret=secret,
         )
         return 0
+    doc = _gateway_status(manifest, secret)
     if args.action == "drain":
-        return _drain_targets(_drain_discover(manifest, secret), secret)
-    # status
-    from repro.fleet.wire import FleetTransportError, http_json
-
-    if manifest.gateway is not None:
-        url = manifest.gateway.base_url
-        try:
-            status, doc = http_json("GET", url + "/status", timeout=5.0, secret=secret)
-        except FleetTransportError as exc:
-            print("gateway %s unreachable: %s" % (url, exc), file=sys.stderr)
-            return 1
-        if status != 200 or not doc.get("ok"):
-            print("gateway %s unhealthy: %r" % (url, doc), file=sys.stderr)
-            return 1
-        cache = doc.get("cache", {})
-        membership = doc.get("membership") or {}
-        print(
-            "gateway %s: pid %s, up %ss, cache entries %s, members %s (lease %ss)"
-            % (
-                url,
-                doc.get("pid"),
-                doc.get("uptime_s"),
-                cache.get("entries"),
-                membership.get("members", 0),
-                membership.get("lease_s", "-"),
-            )
+        return _drain_targets(_alive_workers(doc), secret)
+    # status: the gateway's picture, which probes each worker's /health
+    if doc is None:
+        return 1
+    cache = doc.get("cache", {})
+    membership = doc.get("membership") or {}
+    print(
+        "gateway %s: pid %s, up %ss, cache entries %s, members %s (lease %ss)"
+        % (
+            gw.base_url,
+            doc.get("pid"),
+            doc.get("uptime_s"),
+            cache.get("entries"),
+            membership.get("members", 0),
+            membership.get("lease_s", "-"),
         )
-        workers = doc.get("workers", [])
-    else:
-        workers = []
-        for spec in manifest.workers:
-            entry = {"url": spec.base_url, "weight": spec.weight, "health": None}
-            try:
-                status, health = http_json(
-                    "GET", spec.base_url + "/health", timeout=5.0, secret=secret
-                )
-                entry["alive"] = status == 200 and bool(health.get("ok"))
-                entry["health"] = health if entry["alive"] else None
-            except FleetTransportError:
-                entry["alive"] = False
-            workers.append(entry)
+    )
     print("%-28s %6s %6s %6s %8s %10s" % ("worker", "weight", "alive", "busy", "pid", "completed"))
     dead = 0
-    for entry in workers:
+    for entry in doc.get("workers", []):
         health = entry.get("health") or {}
         alive = bool(entry.get("alive"))
         dead += 0 if alive else 1

@@ -29,7 +29,6 @@ import functools
 import hashlib
 import json
 import os
-import time
 from pathlib import Path
 
 from repro.core.store import CompactionStats, SegmentReader, SegmentStore, peek_key
@@ -225,32 +224,7 @@ class MemoCache:
         current-version data; ``prune`` alone never touches live
         entries.)
         """
-        if not self.directory.is_dir():
-            return 0
-        cutoff = time.time() - max_age_days * 86400.0
-        removed = 0
-        for path in self.directory.glob("*.seg"):
-            try:
-                if path.stat().st_mtime >= cutoff:
-                    continue
-            except OSError:
-                continue
-            if peek_key(path) == self.version:
-                continue
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        for pattern in ("*.corrupt", "*.tmp.*"):
-            for path in self.directory.glob(pattern):
-                try:
-                    if path.stat().st_mtime < cutoff:
-                        path.unlink()
-                        removed += 1
-                except OSError:
-                    pass
-        return removed
+        return self._store.prune(max_age_days)
 
     def maybe_compact(self, max_age_days: float | None = None):
         """:meth:`compact` iff the store's dead-bytes ratio crosses the knob.

@@ -995,13 +995,17 @@ class SegmentStore:
                 continue
             stats.segments_merged += 1
         if max_age_days is not None:
-            stats.pruned = self._prune_aged(max_age_days, now=now)
+            stats.pruned = self.prune(max_age_days, now=now)
             stats.files_removed += stats.pruned
         self._count("compactions")
         return stats
 
-    def _prune_aged(self, max_age_days: float, now=None) -> int:
-        """Drop aged foreign-key blobs and quarantine/debris files."""
+    def prune(self, max_age_days: float, now=None) -> int:
+        """Drop aged foreign-key blobs and quarantine/debris files.
+
+        Blobs keyed by this store's ``key`` are never age-pruned.
+        Returns how many files were removed.
+        """
         cutoff = (now if now is not None else time.time()) - (
             max_age_days * 86400.0
         )

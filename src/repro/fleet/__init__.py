@@ -2,9 +2,9 @@
 
 The fleet is a drop-in executor for the ``pool_factory`` seam of
 :class:`repro.core.resilience.ResilientMap`: :func:`fleet_pool_factory`
-builds :class:`FleetExecutor` instances that dispatch each submitted item
-to a remote worker over HTTP instead of a local ``ProcessPoolExecutor``
-worker.  All of ResilientMap's retry/backoff/timeout/quarantine and
+builds :class:`FleetExecutor` instances that send each submitted item
+through the fleet's gateway to a remote worker over HTTP instead of a
+local ``ProcessPoolExecutor`` worker.  All of ResilientMap's retry/backoff/timeout/quarantine and
 checkpoint semantics apply unchanged — a dead worker looks exactly like a
 crashed pool process (the future raises, the attempt is charged, the item
 is retried on a sibling), and a hung worker is handled by the same
@@ -23,11 +23,7 @@ from repro.fleet.cache import RemoteMemoCache
 from repro.fleet.dispatch import FleetDispatcher
 from repro.fleet.executor import FleetExecutor, fleet_pool_factory
 from repro.fleet.manifest import FleetManifest, WorkerSpec
-from repro.fleet.membership import (
-    MemberRecord,
-    MembershipRegistry,
-    RegistrationClient,
-)
+from repro.fleet.membership import MembershipRegistry, RegistrationClient
 from repro.fleet.wire import (
     FleetBusyError,
     FleetError,
@@ -47,7 +43,6 @@ __all__ = [
     "FleetTransportError",
     "FleetVersionError",
     "FleetWorkerError",
-    "MemberRecord",
     "MembershipRegistry",
     "RegistrationClient",
     "RemoteMemoCache",

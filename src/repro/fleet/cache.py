@@ -12,9 +12,11 @@ cache's addressing, including the code-version salt — so a hit is
 always the same answer a local run would have computed.
 
 The cache degrades to a miss, never to a failure: a gateway that is
-down or restarting makes ``get`` return the default and ``put`` drop
-the write (counted as ``fleet.cache.degraded``), so losing the cache
-costs recomputation, not the sweep.
+down, restarting or refusing the request (a wrong secret's 401) makes
+``get`` return the default and ``put`` drop the write (counted as
+``fleet.cache.degraded``; ``fleet.cache.misses`` counts only the
+gateway's own 404), so losing the cache costs recomputation, not the
+sweep.
 """
 
 from __future__ import annotations
@@ -60,7 +62,9 @@ class RemoteMemoCache:
         if status == 200 and "value" in doc:
             _count("hits")
             return doc["value"]
-        _count("misses")
+        # Only the gateway's 404 is a real miss; a refusal (401, 5xx) is
+        # a degraded cache that still costs a recompute.
+        _count("misses" if status == 404 else "degraded")
         return default
 
     def put(self, name: str, value, config=None) -> None:

@@ -1,6 +1,8 @@
 """Worker selection: smooth weighted round-robin with eviction + revival.
 
-The dispatcher is the client-side picture of fleet health.  Each
+The dispatcher is the gateway's picture of fleet health: the gateway
+(:mod:`repro.fleet.gateway`) runs the fleet's only one, and clients
+reach workers through it.  Each
 :class:`~repro.fleet.manifest.WorkerSpec` gets a node with the classic
 smooth-WRR state (current weight accumulates by configured weight; the
 largest current weight wins and pays back the total), which interleaves
@@ -16,10 +18,12 @@ with a *different* ``code_version_hash`` keeps the node evicted
 tree would otherwise rejoin and 409 every job it's handed; same for a
 worker that reports itself ``draining``.  When every node is dead,
 :meth:`FleetDispatcher.pick` raises
-:class:`~repro.fleet.wire.FleetNoWorkersError`; the executor surfaces
-that through the item's future, where ResilientMap charges the attempt
-and ultimately quarantines — a fleet-wide outage degrades exactly like a
-repeatedly-crashing local pool.
+:class:`~repro.fleet.wire.FleetNoWorkersError`; the gateway answers
+``POST /run`` with a 502 carrying that message and a ``no_workers``
+flag, the executor re-raises it through the item's future, and
+ResilientMap charges the attempt and ultimately quarantines — a
+fleet-wide outage degrades exactly like a repeatedly-crashing local
+pool.
 
 Elastic fleets grow and shrink the node table at runtime: the gateway
 calls :meth:`FleetDispatcher.add_worker` on registration and
@@ -52,9 +56,9 @@ def _count(event: str, n: float = 1) -> None:
 class FleetDispatcher:
     """Thread-safe worker selection over a manifest's worker list.
 
-    One dispatcher is shared across all :class:`FleetExecutor` respawns
-    of a sweep (see :func:`repro.fleet.executor.fleet_pool_factory`), so
-    eviction knowledge survives pool teardown after a timeout.
+    The gateway owns one for its lifetime, so eviction knowledge is
+    shared by every client and survives a client's pool teardown after
+    a timeout.
     """
 
     def __init__(

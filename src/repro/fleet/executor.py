@@ -5,27 +5,30 @@ drives — ``submit`` returning futures, ``shutdown`` — plus the explicit
 teardown protocol (``kill``/``processes``) that
 :meth:`repro.core.resilience.ResilientMap._kill_pool` prefers over
 private-attribute discovery.  Each submitted item gets a daemon thread
-that places the job on a worker (directly or via the gateway), polls for
-the result, and resolves a standard :class:`concurrent.futures.Future`.
+that posts the job to the manifest's gateway (``POST /run``), polls the
+gateway's ``/result`` proxy, and resolves a standard
+:class:`concurrent.futures.Future`.  Worker choice, eviction and revival
+are the gateway's: it runs the fleet's only dispatcher.
 
 Failure mapping is the whole point — ResilientMap must not be able to
 tell a fleet from a local pool:
 
-- Worker busy (503) or a transport error *before* a job is accepted:
-  retried silently on a sibling; no attempt is charged, just as the
-  local pool queues work it hasn't started.
-- Worker dies *after* accepting (poll hits a transport error): the
-  future raises, the attempt is charged, ResilientMap retries on a
-  sibling — the exact shape of a crashed pool process.
+- Every worker busy (503): the client waits and re-posts; no attempt is
+  charged, just as the local pool queues work it hasn't started.  A
+  worker that is draining or unreachable before it accepts a job is
+  skipped by the gateway, also uncharged.
+- Worker dies *after* accepting (the result poll fails): the future
+  raises, the attempt is charged, ResilientMap retries on a sibling —
+  the exact shape of a crashed pool process.
 - Remote exception: unpickled and re-raised as the original type, so
   failure records and ``raise_failures`` behave identically to local.
-- Whole fleet dead: :class:`FleetNoWorkersError` per attempt until the
-  retry budget exhausts and the item quarantines (degraded aggregates),
-  instead of hanging the sweep.
+- Whole fleet dead (the gateway's 502 ``no_workers`` reply):
+  :class:`FleetNoWorkersError` per attempt until the retry budget
+  exhausts and the item quarantines (degraded aggregates), instead of
+  hanging the sweep.
 - ResilientMap timeout: ``_kill_pool`` calls :meth:`FleetExecutor.kill`,
-  which aborts the poll threads; the respawned executor (same shared
-  dispatcher, so eviction knowledge survives) receives the resubmitted
-  survivors.
+  which aborts the poll threads; the respawned executor receives the
+  resubmitted survivors.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ from pathlib import Path
 from urllib.parse import quote
 
 from repro.core.memo import code_version_hash
-from repro.fleet.dispatch import FleetDispatcher
 from repro.fleet.manifest import FleetManifest
 from repro.fleet.wire import (
     PROTOCOL,
     FleetError,
+    FleetNoWorkersError,
     FleetTransportError,
     FleetVersionError,
     FleetWorkerError,
@@ -57,21 +60,13 @@ class FleetExecutor:
     def __init__(
         self,
         manifest: FleetManifest,
-        dispatcher: FleetDispatcher | None = None,
         initializer=None,
         initargs=(),
         secret: str | None = None,
     ):
         self.manifest = manifest
         self.secret = secret
-        self.dispatcher = (
-            dispatcher
-            if dispatcher is not None
-            else FleetDispatcher(manifest, secret=secret)
-        )
-        self._gateway_url = (
-            manifest.gateway.base_url if manifest.gateway is not None else None
-        )
+        self._gateway_url = manifest.gateway.base_url
         self._init_payload = (
             encode_obj((initializer, tuple(initargs)))
             if initializer is not None
@@ -143,74 +138,42 @@ class FleetExecutor:
         poll = self.manifest.poll_interval_s
         while True:
             self._check_abort()
-            placed = self._place(envelope, timeout)
-            if placed is None:  # every slot busy right now
-                time.sleep(poll)
-                continue
-            result_url, spec = placed
-            return self._poll(result_url, spec, timeout, poll)
+            result_url = self._place(envelope, timeout)
+            if result_url is not None:
+                return self._poll(result_url, timeout, poll)
+            time.sleep(poll)  # every worker busy right now
 
     def _place(self, envelope: dict, timeout: float):
-        """Try to start the job somewhere.
+        """Start the job through the gateway.
 
-        Returns ``(result_url, evict_spec)`` once a worker accepted it,
-        or ``None`` when the fleet is alive but fully busy (caller
-        sleeps and retries).  Raises when the attempt should be charged.
+        Returns the gateway's result URL for it, or ``None`` when the
+        fleet is alive but fully busy (caller sleeps and retries).
+        Raises when the attempt should be charged.
         """
-        if self._gateway_url is not None:
-            status, doc = http_json(
-                "POST",
-                self._gateway_url + "/run",
-                envelope,
-                timeout=timeout,
-                secret=self.secret,
+        status, doc = http_json(
+            "POST",
+            self._gateway_url + "/run",
+            envelope,
+            timeout=timeout,
+            secret=self.secret,
+        )
+        if status == 503:
+            return None
+        if status == 409:
+            raise FleetVersionError(str(doc.get("error")))
+        if status == 502 and doc.get("no_workers"):
+            raise FleetNoWorkersError(str(doc.get("error")))
+        if status != 200:
+            raise FleetWorkerError(
+                "gateway refused job (%d): %s" % (status, doc.get("error"))
             )
-            if status == 503:
-                return None
-            if status == 409:
-                raise FleetVersionError(str(doc.get("error")))
-            if status != 200:
-                raise FleetWorkerError(
-                    "gateway refused job (%d): %s" % (status, doc.get("error"))
-                )
-            result_url = "%s/result?worker=%s&job=%s" % (
-                self._gateway_url,
-                quote(str(doc["worker"]), safe=""),
-                doc["job"],
-            )
-            return result_url, None
-        while True:
-            self._check_abort()
-            spec = self.dispatcher.pick()  # raises FleetNoWorkersError when dead
-            try:
-                status, doc = http_json(
-                    "POST",
-                    spec.base_url + "/run",
-                    envelope,
-                    timeout=timeout,
-                    secret=self.secret,
-                )
-            except FleetTransportError:
-                # Job never started; evict and try a sibling, uncharged.
-                self.dispatcher.report_failure(spec)
-                continue
-            if status == 503:
-                if doc.get("draining"):
-                    # Graceful decommission: the worker never took the
-                    # job, so re-place on a sibling uncharged.
-                    self.dispatcher.report_failure(spec)
-                    continue
-                return None
-            if status == 409:
-                raise FleetVersionError(str(doc.get("error")))
-            if status != 200:
-                raise FleetWorkerError(
-                    "worker %s refused job (%d): %s"
-                    % (spec.base_url, status, doc.get("error"))
-                )
-            return spec.base_url + "/result?job=%s" % doc["job"], spec
+        return "%s/result?worker=%s&job=%s" % (
+            self._gateway_url,
+            quote(str(doc["worker"]), safe=""),
+            doc["job"],
+        )
 
-    def _poll(self, result_url: str, spec, timeout: float, poll: float):
+    def _poll(self, result_url: str, timeout: float, poll: float):
         while True:
             self._check_abort()
             time.sleep(poll)
@@ -219,11 +182,7 @@ class FleetExecutor:
                     "GET", result_url, timeout=timeout, secret=self.secret
                 )
             except FleetTransportError as exc:
-                if spec is not None:
-                    self.dispatcher.report_failure(spec)
-                raise FleetWorkerError(
-                    "worker died while running job: %s" % exc
-                ) from exc
+                raise FleetWorkerError("result poll failed: %s" % exc) from exc
             if status != 200:
                 raise FleetWorkerError(
                     "result fetch failed (%d): %s" % (status, record.get("error"))
@@ -251,23 +210,20 @@ class FleetExecutor:
 def fleet_pool_factory(manifest):
     """A ``pool_factory`` for ResilientMap backed by a worker fleet.
 
-    ``manifest`` is a :class:`FleetManifest` or a path to one.  The
-    returned factory shares one :class:`FleetDispatcher` across every
-    (re)spawn, so worker-eviction state survives timeout teardowns
-    instead of re-discovering dead workers after each respawn.  Fleet
-    workers run the map's ``worker_init``: the same wrapped set-up a
-    local pool worker runs.
+    ``manifest`` is a :class:`FleetManifest` or a path to one.  Every
+    (re)spawned :class:`FleetExecutor` sends its jobs through the
+    manifest's gateway, whose dispatcher keeps worker-eviction state
+    across timeout teardowns.  Fleet workers run the map's
+    ``worker_init``: the same wrapped set-up a local pool worker runs.
     """
     if isinstance(manifest, (str, Path)):
         manifest = FleetManifest.load(manifest)
     secret = manifest.load_secret()
-    dispatcher = FleetDispatcher(manifest, secret=secret)
 
     def factory(mapper) -> FleetExecutor:
         initializer, initargs = mapper.worker_init
         return FleetExecutor(
             manifest,
-            dispatcher=dispatcher,
             initializer=initializer,
             initargs=initargs,
             secret=secret,

@@ -1,9 +1,9 @@
 """The fleet gateway: one front door for dispatch, results, and the cache.
 
-Clients that pass a manifest with a ``gateway`` entry talk only to the
-gateway; it owns the authoritative :class:`FleetDispatcher` (weighted
-round-robin, eviction, revival) so every client shares one view of fleet
-health, and it hosts the shared result cache — a
+Every fleet manifest names a gateway, and clients talk only to it; it
+owns the fleet's only :class:`FleetDispatcher` (weighted round-robin,
+eviction, revival) so every client shares one view of fleet health, and
+it hosts the shared result cache — a
 :class:`repro.core.store.SegmentStore` the fleet's
 :class:`~repro.fleet.cache.RemoteMemoCache` clients read and write, so a
 sweep finished by one client short-circuits the same sweep started by
@@ -25,7 +25,8 @@ Endpoints:
   membership summary, gateway counters, cache size.
 - ``POST /run`` — forward a job envelope to the next worker.  Replies
   ``{"job", "worker"}`` on placement; 503 when every live worker's slot
-  is busy (clients wait); 502 when no live worker remains (clients
+  is busy (clients wait); 502 with ``no_workers`` and the dispatcher's
+  "all N fleet workers are dead" when no live worker remains (clients
   charge the attempt — the fleet-wide-outage path to quarantine); 409
   passes a worker's code-version rejection through.  A worker answering
   "draining" is evicted from rotation and the job moves to a sibling.
@@ -55,12 +56,8 @@ from urllib.parse import parse_qs, urlparse
 from repro.core.memo import code_version_hash, default_cache_dir
 from repro.core.store import SegmentStore
 from repro.fleet.dispatch import FleetDispatcher
-from repro.fleet.manifest import FleetManifest
-from repro.fleet.membership import (
-    MEMBERS_STORE_KEY,
-    MemberRecord,
-    MembershipRegistry,
-)
+from repro.fleet.manifest import FleetManifest, WorkerSpec
+from repro.fleet.membership import MEMBERS_STORE_KEY, MembershipRegistry
 from repro.fleet.wire import (
     FleetNoWorkersError,
     FleetTransportError,
@@ -76,6 +73,16 @@ _MISS = object()
 
 def _count(event: str, n: float = 1) -> None:
     get_recorder().counters.add("fleet.gateway." + event, n)
+
+
+def _member_address(doc):
+    """``(host, port)`` from a renew/deregister body, or None if malformed."""
+    if not isinstance(doc, dict):
+        return None
+    try:
+        return str(doc["host"]), int(doc["port"])
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 class _GatewayHandler(JsonRequestHandler):
@@ -161,7 +168,7 @@ class _GatewayHandler(JsonRequestHandler):
             self._reply(400, {"error": "malformed registration"})
             return
         try:
-            record = MemberRecord.from_dict(doc)
+            record = WorkerSpec.from_dict(doc, role="member")
         except ValueError as exc:
             self._reply(400, {"error": str(exc)})
             return
@@ -178,38 +185,30 @@ class _GatewayHandler(JsonRequestHandler):
             )
             return
         joined = server.membership.register(record)
-        server.dispatcher.add_worker(record.spec)
+        server.dispatcher.add_worker(record)
         _count("registered" if joined else "reregistered")
         self._reply(200, {"ok": True, "lease_s": server.membership.lease_s})
 
     def _renew(self, doc) -> None:
         server = self.server
-        if not isinstance(doc, dict) or "host" not in doc or "port" not in doc:
+        address = _member_address(doc)
+        if address is None:
             self._reply(400, {"error": "need {'host', 'port'}"})
             return
-        try:
-            host, port = str(doc["host"]), int(doc["port"])
-        except (TypeError, ValueError):
-            self._reply(400, {"error": "need {'host', 'port'}"})
-            return
-        if server.membership.renew(host, port):
+        if server.membership.renew(*address):
             self._reply(200, {"ok": True, "lease_s": server.membership.lease_s})
             return
         self._reply(404, {"error": "unknown member; re-register"})
 
     def _deregister(self, doc) -> None:
         server = self.server
-        if not isinstance(doc, dict) or "host" not in doc or "port" not in doc:
+        address = _member_address(doc)
+        if address is None:
             self._reply(400, {"error": "need {'host', 'port'}"})
             return
-        try:
-            host, port = str(doc["host"]), int(doc["port"])
-        except (TypeError, ValueError):
-            self._reply(400, {"error": "need {'host', 'port'}"})
-            return
-        record = server.membership.deregister(host, port)
+        record = server.membership.deregister(*address)
         if record is not None:
-            server.dispatcher.remove_worker(record.spec)
+            server.dispatcher.remove_worker(record)
             _count("deregistered")
         self._reply(200, {"ok": True, "known": record is not None})
 
@@ -222,9 +221,9 @@ class _GatewayHandler(JsonRequestHandler):
         while True:
             try:
                 spec = dispatcher.pick()
-            except FleetNoWorkersError:
+            except FleetNoWorkersError as exc:
                 _count("no_workers")
-                self._reply(502, {"error": "no live workers in the fleet"})
+                self._reply(502, {"error": str(exc), "no_workers": True})
                 return
             alive = {s.base_url for s in dispatcher.alive_workers()}
             if spec.base_url in busy:
@@ -332,7 +331,7 @@ class GatewayServer(ThreadingHTTPServer):
             ),
         )
         for record in self.membership.rehydrate():
-            self.dispatcher.add_worker(record.spec)
+            self.dispatcher.add_worker(record)
             _count("rehydrated")
         self.started_s = time.monotonic()
         self._closed = False
@@ -350,7 +349,7 @@ class GatewayServer(ThreadingHTTPServer):
         tick = max(0.05, self.membership.lease_s / 5.0)
         while not self._lease_stop.wait(tick):
             for record in self.membership.expire_due():
-                self.dispatcher.remove_worker(record.spec)
+                self.dispatcher.remove_worker(record)
                 _count("lease_expired")
 
     def server_close(self) -> None:
@@ -362,7 +361,8 @@ class GatewayServer(ThreadingHTTPServer):
 
     def status_document(self) -> dict:
         leases = {
-            record.url: remaining for record, remaining in self.membership.members()
+            record.base_url: remaining
+            for record, remaining in self.membership.members()
         }
         workers = []
         for spec, alive in self.dispatcher.snapshot():

@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
 
 from repro.core.memo import code_version_hash
 from repro.fleet.manifest import WorkerSpec
@@ -49,62 +48,10 @@ def _count(event: str, n: float = 1) -> None:
     get_recorder().counters.add("fleet.membership." + event, n)
 
 
-@dataclass(frozen=True)
-class MemberRecord:
-    """One registered fleet member, as announced by the worker."""
-
-    host: str
-    port: int
-    weight: int = 1
-    pid: int | None = None
-    version: str | None = None
-
-    @property
-    def url(self) -> str:
-        return "http://%s:%d" % (self.host, self.port)
-
-    @property
-    def spec(self) -> WorkerSpec:
-        return WorkerSpec(host=self.host, port=self.port, weight=self.weight)
-
-    def to_dict(self) -> dict:
-        return {
-            "host": self.host,
-            "port": self.port,
-            "weight": self.weight,
-            "pid": self.pid,
-            "version": self.version,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MemberRecord":
-        if not isinstance(doc, dict):
-            raise ValueError("member record must be an object, got %r" % (doc,))
-        try:
-            host = str(doc["host"])
-            port = int(doc["port"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                "member record needs 'host' and an integer 'port': %r" % (doc,)
-            ) from exc
-        raw_weight = doc.get("weight")
-        try:
-            weight = int(raw_weight) if raw_weight is not None else 1
-        except (TypeError, ValueError) as exc:
-            raise ValueError("member weight must be an integer: %r" % (doc,)) from exc
-        if weight < 1:
-            raise ValueError("member weight must be >= 1, got %d" % weight)
-        pid = doc.get("pid")
-        pid = int(pid) if pid is not None else None
-        version = doc.get("version")
-        version = str(version) if version is not None else None
-        return cls(host=host, port=port, weight=weight, pid=pid, version=version)
-
-
 class _Member:
     __slots__ = ("record", "deadline_s")
 
-    def __init__(self, record: MemberRecord, deadline_s: float):
+    def __init__(self, record: WorkerSpec, deadline_s: float):
         self.record = record
         self.deadline_s = deadline_s
 
@@ -128,14 +75,15 @@ class MembershipRegistry:
         self._removed: dict = {}  # url -> (reason, removed_at_s)
 
     # -- lifecycle -----------------------------------------------------
-    def register(self, record: MemberRecord) -> bool:
+    def register(self, record: WorkerSpec) -> bool:
         """Admit (or refresh) a member; returns True for a new join."""
         now = self._clock()
         with self._lock:
-            joined = record.url not in self._members
-            self._members[record.url] = _Member(record, now + self.lease_s)
-            self._removed.pop(record.url, None)
-            self._persist(record.url, record.to_dict())
+            url = record.base_url
+            joined = url not in self._members
+            self._members[url] = _Member(record, now + self.lease_s)
+            self._removed.pop(url, None)
+            self._persist(url, record.to_dict())
         _count("joined" if joined else "rejoined")
         return joined
 
@@ -156,7 +104,7 @@ class MembershipRegistry:
     def deregister(self, host: str, port: int):
         """Remove a member explicitly (graceful drain).
 
-        Returns the removed :class:`MemberRecord`, or None if unknown.
+        Returns the removed :class:`WorkerSpec`, or None if unknown.
         """
         url = "http://%s:%d" % (host, int(port))
         now = self._clock()
@@ -239,10 +187,10 @@ class MembershipRegistry:
                 if payload is None:  # tombstone: deregistered or expired
                     continue
                 try:
-                    record = MemberRecord.from_dict(payload)
+                    record = WorkerSpec.from_dict(payload)
                 except ValueError:
                     continue
-                self._members[record.url] = _Member(record, now + self.lease_s)
+                self._members[record.base_url] = _Member(record, now + self.lease_s)
                 records.append(record)
         if records:
             _count("rehydrated", len(records))
@@ -268,7 +216,7 @@ class RegistrationClient:
     def __init__(
         self,
         gateway_url: str,
-        record: MemberRecord,
+        record: WorkerSpec,
         secret: str | None = None,
         timeout_s: float = 5.0,
     ):
@@ -383,7 +331,7 @@ class RegistrationClient:
 
 def local_member_record(
     host: str, port: int, weight: int = 1, advertise_host: str | None = None
-) -> MemberRecord:
+) -> WorkerSpec:
     """The record a worker announces for itself.
 
     ``advertise_host`` overrides the bind host for registration —
@@ -392,7 +340,7 @@ def local_member_record(
     announce = advertise_host or host
     if announce in ("", "0.0.0.0", "::"):
         announce = "127.0.0.1"
-    return MemberRecord(
+    return WorkerSpec(
         host=announce,
         port=int(port),
         weight=int(weight),

@@ -57,7 +57,13 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from repro.core.memo import code_version_hash
-from repro.fleet.wire import PROTOCOL, JsonRequestHandler, decode_obj, encode_obj
+from repro.fleet.wire import (
+    FLEET_SECRET_ENV,
+    PROTOCOL,
+    JsonRequestHandler,
+    decode_obj,
+    encode_obj,
+)
 from repro.obs.recorder import get_recorder
 
 
@@ -327,6 +333,10 @@ def serve_worker(
     from repro.fleet.membership import RegistrationClient, local_member_record
 
     install_worker_fault_handlers()
+    if secret:
+        # Jobs read the process's secret (load_secret) to sign their own
+        # gateway requests, such as the shared cache's.
+        os.environ[FLEET_SECRET_ENV] = secret
     server = WorkerServer(
         host,
         port,

@@ -6,7 +6,7 @@ from repro.analysis.base import FigureResult
 from repro.analysis.report import (
     EXPERIMENTS,
     _render_fleet_section,
-    load_fleet_baseline,
+    load_bench_record,
     render_markdown,
     write_experiments_md,
 )
@@ -85,7 +85,7 @@ class TestReport:
         # document with one more newline.
         committed = (REPO_ROOT / "EXPERIMENTS.md").read_text()
         heading = "## Distributed sweeps"
-        rendered = _render_fleet_section(load_fleet_baseline()) + "\n"
+        rendered = _render_fleet_section(load_bench_record("fleet_smoke")) + "\n"
         assert rendered.startswith(heading)
         assert committed[committed.index(heading):] == rendered
 

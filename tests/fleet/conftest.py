@@ -1,12 +1,15 @@
 """Fixtures for the distributed sweep fleet tests.
 
-Two tiers of infrastructure:
+Three tiers of infrastructure:
 
 - In-process servers (:func:`worker_servers`, :func:`gateway_server`):
   ``WorkerServer`` / ``GatewayServer`` instances on daemon threads, for
   protocol-level unit tests where real process isolation isn't the point.
+- In-process fleets (:func:`inprocess_fleet`): in-process workers behind
+  an in-process gateway, for executor tests.
 - Subprocess fleets (:func:`make_fleet`): real ``python -m repro fleet
-  worker`` / ``fleet serve`` processes bound to ephemeral ports, for the
+  worker`` / ``fleet serve`` processes bound to ephemeral ports, always
+  fronted by a gateway (every fleet job goes through one), for the
   fault suite — killing a worker must kill a *process*, and fault plans
   (``REPRO_FAULT_PLAN``) must be inherited at spawn.  Workers can be
   started static (listed in the manifest) or elastic
@@ -103,9 +106,8 @@ class FleetHarness:
         manifest_path = self.write_manifest(
             name="gateway-manifest.json",
             include_workers=include_workers,
-            # An elastic gateway manifest names itself so validation
-            # passes with zero static workers; port 0 is a placeholder.
-            with_gateway=not include_workers,
+            # The gateway's own manifest names it too; port 0 is a
+            # placeholder (the bound port comes from --port).
             gateway_port=0,
             **overrides,
         )
@@ -209,11 +211,7 @@ class FleetHarness:
 
     # -- manifests -----------------------------------------------------
     def manifest_doc(
-        self,
-        with_gateway: bool = False,
-        include_workers: bool = True,
-        gateway_port=None,
-        **overrides,
+        self, include_workers: bool = True, gateway_port=None, **overrides
     ) -> dict:
         doc = dict(FAST_KNOBS)
         doc.update(overrides)
@@ -222,38 +220,36 @@ class FleetHarness:
             if include_workers
             else []
         )
-        if with_gateway:
-            if gateway_port is None:
-                assert self.gateway is not None, "start_gateway() first"
-                gateway_port = self.gateway[1]
-            doc["gateway"] = {"host": "127.0.0.1", "port": gateway_port}
+        if gateway_port is None:
+            assert self.gateway is not None, "start_gateway() first"
+            gateway_port = self.gateway[1]
+        doc["gateway"] = {"host": "127.0.0.1", "port": gateway_port}
         return doc
 
-    def manifest(self, with_gateway: bool = False, **overrides) -> FleetManifest:
-        return FleetManifest.from_dict(self.manifest_doc(with_gateway, **overrides))
+    def manifest(self, **overrides) -> FleetManifest:
+        """The client manifest: the running gateway plus its workers."""
+        return FleetManifest.from_dict(self.manifest_doc(**overrides))
 
-    def write_manifest(
-        self, with_gateway: bool = False, name: str = "fleet.json", **overrides
-    ) -> Path:
+    def write_manifest(self, name: str = "fleet.json", **overrides) -> Path:
         import json
 
         path = self.tmp_path / name
-        path.write_text(json.dumps(self.manifest_doc(with_gateway, **overrides)))
+        path.write_text(json.dumps(self.manifest_doc(**overrides)))
         return path
 
 
 @pytest.fixture
 def make_fleet(tmp_path):
-    """Factory: ``make_fleet(n_workers, env_extra=..., gateway=...)``."""
+    """Factory: ``make_fleet(n_workers, env_extra=...)``, static workers
+    behind a gateway."""
     harnesses = []
 
-    def factory(n_workers: int, env_extra=None, gateway: bool = False) -> FleetHarness:
+    def factory(n_workers: int, env_extra=None) -> FleetHarness:
         harness = FleetHarness(tmp_path, env_extra=env_extra)
         harnesses.append(harness)
         for _ in range(n_workers):
             harness.start_worker()
-        if gateway:
-            harness.start_gateway()
+        harness.start_gateway()
         return harness
 
     yield factory
@@ -316,15 +312,40 @@ def gateway_server(tmp_path):
         server.server_close()
 
 
-def inprocess_manifest(servers, gateway_port=None, **overrides) -> FleetManifest:
+def inprocess_manifest(servers, gateway_port=0, **overrides) -> FleetManifest:
+    """A manifest over in-process workers; ``gateway_port=0`` is a
+    placeholder for a gateway's own manifest."""
+    return _static_manifest(
+        [server.port for server in servers], gateway_port, **overrides
+    )
+
+
+def _static_manifest(ports, gateway_port, **overrides) -> FleetManifest:
     doc = dict(FAST_KNOBS)
     doc.update(overrides)
-    doc["workers"] = [
-        {"host": "127.0.0.1", "port": server.port} for server in servers
-    ]
-    if gateway_port is not None:
-        doc["gateway"] = {"host": "127.0.0.1", "port": gateway_port}
+    doc["workers"] = [{"host": "127.0.0.1", "port": port} for port in ports]
+    doc["gateway"] = {"host": "127.0.0.1", "port": gateway_port}
     return FleetManifest.from_dict(doc)
+
+
+@pytest.fixture
+def inprocess_fleet(worker_servers, gateway_server):
+    """Factory: ``inprocess_fleet(n, dead_ports=(), secret=None, **knobs)``
+    starts ``n`` in-process workers behind an in-process gateway and
+    returns the client manifest.  ``dead_ports`` adds static members
+    nothing listens on; ``secret`` signs the workers and the gateway."""
+
+    def factory(
+        n: int = 1, dead_ports=(), secret=None, **overrides
+    ) -> FleetManifest:
+        servers = worker_servers(n, secret=secret)
+        ports = [server.port for server in servers] + list(dead_ports)
+        gateway = gateway_server(
+            _static_manifest(ports, 0, **overrides), secret=secret
+        )
+        return _static_manifest(ports, gateway.port, **overrides)
+
+    return factory
 
 
 def elastic_manifest(gateway_port: int, **overrides) -> FleetManifest:

@@ -196,6 +196,7 @@ def test_signed_job_round_trips_through_gateway(worker_servers, gateway_server):
 
 def test_remote_cache_with_wrong_secret_degrades_to_miss(gateway_server):
     from repro.fleet.cache import RemoteMemoCache
+    from repro.obs.recorder import recording
 
     gateway = gateway_server(elastic_manifest(0), secret=SECRET)
     url = "http://127.0.0.1:%d" % gateway.port
@@ -205,6 +206,75 @@ def test_remote_cache_with_wrong_secret_degrades_to_miss(gateway_server):
     # Wrong secret: every request answers 401 → the cache degrades to a
     # miss (recompute), never to a sweep failure — and never a hit.
     bad = RemoteMemoCache(url, secret="wrong")
-    assert bad.get("point", config={"c": 1}, default="MISS") == "MISS"
-    bad.put("other", {"v": 2})  # silently dropped
-    assert good.get("other", default="MISS") == "MISS"
+    with recording() as recorder:
+        assert bad.get("point", config={"c": 1}, default="MISS") == "MISS"
+        bad.put("other", {"v": 2})  # silently dropped
+        assert good.get("other", default="MISS") == "MISS"
+        # The refusals count as a degraded cache; only the gateway's
+        # 404 for the good client is a miss.
+        assert recorder.counters.get("fleet.cache.degraded") == 2
+        assert recorder.counters.get("fleet.cache.misses") == 1
+
+
+def test_signed_fan_out_fills_the_shared_cache(inprocess_fleet, monkeypatch, tmp_path):
+    """Workload fan-out jobs sign their cache requests with the secret of
+    the process running them, so a signed fleet's shared cache fills."""
+    from repro.analysis.cachesweep import sweep_all
+    from repro.config import CacheConfig, SocConfig
+    from repro.fleet.cache import RemoteMemoCache
+    from repro.fleet.executor import fleet_pool_factory
+    from repro.sim.artifact import TraceStore
+
+    monkeypatch.setenv("REPRO_FLEET_SECRET", SECRET)
+    manifest = inprocess_fleet(2, secret=SECRET)
+    url = manifest.gateway.base_url
+    names = ["tensorflow.gemm_unpacked", "chrome.compositing_linear"]
+    socs = [
+        SocConfig(
+            l1=CacheConfig(size_bytes=1024, associativity=2),
+            l2=CacheConfig(size_bytes=4096, associativity=4),
+        )
+    ]
+    for _ in range(2):
+        sweep_all(
+            names, socs=socs, store=TraceStore(tmp_path / "traces"), jobs=2,
+            cache=RemoteMemoCache(url, secret=SECRET),
+            pool_factory=fleet_pool_factory(manifest),
+        )
+        status, doc = http_json("GET", url + "/status", secret=SECRET)
+        assert status == 200
+        assert doc["cache"]["entries"] == len(names)
+
+
+def test_secret_file_worker_hands_its_secret_to_jobs(tmp_path):
+    """A job sees the secret of the worker process running it (what a
+    fan-out job signs its shared-cache requests with), also when the
+    worker read it from ``--secret-file`` rather than the environment."""
+    import time
+
+    from repro.fleet.manifest import load_secret
+    from tests.fleet.conftest import FleetHarness
+
+    secret_file = tmp_path / "fleet.secret"
+    secret_file.write_text(SECRET + "\n")
+    harness = FleetHarness(tmp_path)
+    harness.env.pop("REPRO_FLEET_SECRET", None)
+    try:
+        port = harness.start_worker(extra_args=["--secret-file", str(secret_file)])
+        url = "http://127.0.0.1:%d" % port
+        status, doc = http_json(
+            "POST", url + "/run", _envelope(load_secret), secret=SECRET
+        )
+        assert status == 200
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            status, record = http_json(
+                "GET", "%s/result?job=%s" % (url, doc["job"]), secret=SECRET
+            )
+            assert status == 200
+            if record["status"] != "pending":
+                break
+            time.sleep(0.01)
+        assert decode_obj(record["value"]) == SECRET
+    finally:
+        harness.stop()

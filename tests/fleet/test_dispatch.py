@@ -19,6 +19,7 @@ def _manifest(ports_weights, **overrides):
             {"host": "127.0.0.1", "port": port, "weight": weight}
             for port, weight in ports_weights
         ],
+        "gateway": {"host": "127.0.0.1", "port": 0},
         "probe_interval_s": 0.1,
     }
     doc.update(overrides)

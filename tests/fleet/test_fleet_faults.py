@@ -118,12 +118,10 @@ class TestFleetFaults:
             tmp_path,
             {"tensorflow.gemm_unpacked": ["raise:outage"] * FAST.max_attempts},
         )
-        harness = make_fleet(
-            2, env_extra={"REPRO_FAULT_PLAN": plan}, gateway=True
-        )
+        harness = make_fleet(2, env_extra={"REPRO_FAULT_PLAN": plan})
         store = TraceStore(tmp_path / "fleet-traces")
         checkpoint = str(tmp_path / "sweep.ckpt")
-        manifest = harness.manifest(with_gateway=True)
+        manifest = harness.manifest()
         with strict_mode(False):
             phase1 = sweep_all(
                 NAMES, socs=SOCS, store=store, jobs=2, retry_policy=FAST,
@@ -175,11 +173,11 @@ class TestFleetFaults:
     def test_shared_cache_short_circuits_second_client(
         self, tmp_path, make_fleet, local_docs
     ):
-        harness = make_fleet(2, gateway=True)
+        harness = make_fleet(2)
         gateway_url = "http://127.0.0.1:%d" % harness.gateway[1]
         store = TraceStore(tmp_path / "fleet-traces")
         name = "tensorflow.gemm_unpacked"
-        factory = fleet_pool_factory(harness.manifest(with_gateway=True))
+        factory = fleet_pool_factory(harness.manifest())
 
         # Client 1 computes over the fleet and publishes to the shared
         # cache at the gateway.

@@ -1,8 +1,9 @@
 """Property: a fleet sweep is byte-identical to a serial local sweep.
 
-The loopback fleet (two real worker processes, spawned once per module)
-is driven through the same ``sweep_all`` entry point as a local run, over
-Hypothesis-drawn workload subsets, geometry grids, and job counts.  The
+The loopback fleet (two real worker processes behind a gateway, spawned
+once per module) is driven through the same ``sweep_all`` entry point as
+a local run, over Hypothesis-drawn workload subsets, geometry grids, and
+job counts.  The
 contract covers the documents, the checkpoint journals the fleet writes,
 and a local ``--resume`` from those journals.
 """
@@ -61,6 +62,7 @@ def fleet2(tmp_path_factory):
     harness = FleetHarness(tmp_path_factory.mktemp("fleet-identity"))
     harness.start_worker()
     harness.start_worker()
+    harness.start_gateway()
     yield harness
     harness.stop()
 

@@ -171,6 +171,7 @@ class TestGatewayMalformed:
             {"port": 80},
             {"host": "h", "port": "x"},
             {"host": "h", "port": 80, "weight": 0},
+            {"host": "h", "port": 80, "weight": None},
         ],
     )
     def test_register_rejects_bad_records(self, gateway, payload):
@@ -221,3 +222,52 @@ class TestGatewayMalformed:
         url = "http://127.0.0.1:%d" % gateway.port
         status, doc = http_json("GET", url + "/health")
         assert status == 200 and doc["ok"]
+
+
+# ---------------------------------------------------------------------------
+# CLI inputs
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        # Every fleet job goes through a gateway: a manifest without one
+        # names the command that starts it.
+        (
+            lambda tmp: ["cachesweep", "--fleet", _write(
+                tmp / "fleet.json", {"workers": [{"host": "h", "port": 1}]}
+            )],
+            "fleet serve",
+        ),
+        (
+            lambda tmp: ["fleet", "status", "--fleet", _write(
+                tmp / "fleet.json",
+                {"gateway": {"host": "g", "port": 1},
+                 "workers": [{"host": "h", "port": 1, "weight": None}]},
+            )],
+            "weight",
+        ),
+        (
+            lambda tmp: ["fleet", "worker", "--secret-file", str(tmp / "missing")],
+            "unreadable",
+        ),
+        (
+            lambda tmp: ["fleet", "status", "--fleet", str(tmp / "missing.json")],
+            "unreadable",
+        ),
+    ],
+    ids=["no-gateway", "null-weight", "missing-secret-file", "missing-manifest"],
+)
+def test_cli_rejects_malformed_fleet_input(tmp_path, capsys, monkeypatch, argv, needle):
+    from repro.cli import main
+
+    monkeypatch.delenv("REPRO_FLEET_SECRET", raising=False)
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert needle in err[0]

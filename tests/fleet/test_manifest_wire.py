@@ -10,6 +10,8 @@ import pytest
 from repro.fleet.manifest import FleetManifest, WorkerSpec
 from repro.fleet.wire import decode_obj, encode_obj
 
+GW = {"host": "g", "port": 9}
+
 
 class TestManifest:
     def test_load_full_document(self, tmp_path):
@@ -30,18 +32,16 @@ class TestManifest:
             WorkerSpec("127.0.0.1", 8701, weight=2),
             WorkerSpec("10.0.0.9", 8702, weight=1),
         ]
-        assert manifest.worker_urls() == [
+        assert [spec.base_url for spec in manifest.workers] == [
             "http://127.0.0.1:8701", "http://10.0.0.9:8702",
         ]
         assert manifest.probe_interval_s == 0.5
         assert manifest.poll_interval_s == 0.01
         assert manifest.request_timeout_s == 3.0
 
-    def test_gateway_is_optional(self):
-        manifest = FleetManifest.from_dict(
-            {"workers": [{"host": "h", "port": 1}]}
-        )
-        assert manifest.gateway is None
+    def test_gateway_is_required(self):
+        with pytest.raises(ValueError, match="fleet serve"):
+            FleetManifest.from_dict({"workers": [{"host": "h", "port": 1}]})
 
     def test_round_trips_through_to_dict(self):
         doc = {
@@ -54,11 +54,12 @@ class TestManifest:
     @pytest.mark.parametrize("doc", [
         {},
         {"workers": []},
-        {"workers": "nope"},
-        {"workers": [{"host": "h"}]},
-        {"workers": [{"port": 1}]},
-        {"workers": [{"host": "h", "port": "zesty"}]},
-        {"workers": [{"host": "h", "port": 1, "weight": 0}]},
+        {"workers": "nope", "gateway": GW},
+        {"workers": [{"host": "h"}], "gateway": GW},
+        {"workers": [{"port": 1}], "gateway": GW},
+        {"workers": [{"host": "h", "port": "zesty"}], "gateway": GW},
+        {"workers": [{"host": "h", "port": 1, "weight": 0}], "gateway": GW},
+        {"workers": [{"host": "h", "port": 1, "weight": None}], "gateway": GW},
         {"workers": [{"host": "h", "port": 1}], "gateway": {"host": "g"}},
     ])
     def test_malformed_documents_raise_value_error(self, doc):
@@ -86,20 +87,17 @@ class TestManifest:
             assert manifest.gateway == WorkerSpec("g", 1)
 
     def test_lease_default_and_validation(self):
-        manifest = FleetManifest.from_dict({"workers": [{"host": "h", "port": 1}]})
+        manifest = FleetManifest.from_dict({"gateway": GW})
         assert manifest.lease_s == 10.0
-        manifest = FleetManifest.from_dict(
-            {"workers": [{"host": "h", "port": 1}], "lease_s": 2.5}
-        )
+        manifest = FleetManifest.from_dict({"gateway": GW, "lease_s": 2.5})
         assert manifest.lease_s == 2.5
         for bad in (0, -1):
             with pytest.raises(ValueError):
-                FleetManifest.from_dict(
-                    {"workers": [{"host": "h", "port": 1}], "lease_s": bad}
-                )
+                FleetManifest.from_dict({"gateway": GW, "lease_s": bad})
 
     def test_lease_and_secret_file_round_trip(self):
         doc = {
+            "gateway": GW,
             "workers": [{"host": "h", "port": 1}],
             "lease_s": 3.0,
             "secret_file": "/tmp/secret",
@@ -111,7 +109,7 @@ class TestManifest:
 class TestLoadSecret:
     def _manifest(self, **kwargs):
         return FleetManifest.from_dict(
-            dict({"workers": [{"host": "h", "port": 1}]}, **kwargs)
+            dict({"gateway": GW}, **kwargs)
         )
 
     def test_no_secret_configured_is_none(self, monkeypatch):

@@ -10,10 +10,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.store import SegmentStore
+from repro.fleet.manifest import WorkerSpec
 from repro.fleet.membership import (
     MEMBERS_STORE_KEY,
     REMOVAL_RETENTION_S,
-    MemberRecord,
     MembershipRegistry,
 )
 
@@ -29,24 +29,28 @@ class FakeClock:
         self.now += dt
 
 
-def record(port: int = 9001, **kwargs) -> MemberRecord:
-    return MemberRecord(host="127.0.0.1", port=port, **kwargs)
+def record(port: int = 9001, **kwargs) -> WorkerSpec:
+    return WorkerSpec(host="127.0.0.1", port=port, **kwargs)
 
 
 # ---------------------------------------------------------------------------
-# MemberRecord
+# Member records (WorkerSpec with the identity a worker announces)
 
 
 def test_record_round_trips_through_dict():
     rec = record(weight=3, pid=42, version="abc")
-    assert MemberRecord.from_dict(rec.to_dict()) == rec
+    back = WorkerSpec.from_dict(rec.to_dict())
+    assert back == rec
+    assert (back.pid, back.version) == (42, "abc")
 
 
 def test_record_url_and_spec():
     rec = record(9007, weight=2)
-    assert rec.url == "http://127.0.0.1:9007"
-    assert rec.spec.base_url == rec.url
-    assert rec.spec.weight == 2
+    assert rec.base_url == "http://127.0.0.1:9007"
+    assert rec.weight == 2
+    # Announced identity is not part of equality: a restarted member is
+    # the same member.
+    assert record(9007, weight=2, pid=1) == record(9007, weight=2, pid=2)
 
 
 @pytest.mark.parametrize(
@@ -59,11 +63,13 @@ def test_record_url_and_spec():
         {"port": 1},
         {"host": "h", "port": "nope"},
         {"host": "h", "port": 1, "weight": 0},
+        {"host": "h", "port": 1, "weight": None},
+        {"host": "h", "port": 1, "pid": [1]},
     ],
 )
 def test_record_rejects_malformed(doc):
     with pytest.raises(ValueError):
-        MemberRecord.from_dict(doc)
+        WorkerSpec.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
