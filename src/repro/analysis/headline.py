@@ -12,14 +12,13 @@ The paper's abstract/intro report three cross-workload averages:
 from __future__ import annotations
 
 from repro.analysis.base import FigureResult
+from repro.analysis.tensorflow_figures import network_characterizations
 from repro.config import table1_rows
 from repro.core.runner import ExperimentRunner
 from repro.core.workload import characterize
 from repro.workloads.chrome.pages import PAGES, PAGE_ORDER
 from repro.workloads.chrome.targets import browser_pim_targets
 from repro.workloads.chrome.zram import TabSwitchingSession
-from repro.workloads.tensorflow.models import all_models
-from repro.workloads.tensorflow.network import network_functions
 from repro.workloads.tensorflow.targets import tensorflow_pim_targets
 from repro.workloads.vp9.frame import RESOLUTIONS
 from repro.workloads.vp9.profiles import decoder_functions, encoder_functions
@@ -39,8 +38,7 @@ def workload_characterizations():
     out.append(
         characterize("tab_switching", TabSwitchingSession().workload_functions())
     )
-    for net in all_models():
-        out.append(characterize(net.name, network_functions(net)))
+    out.extend(network_characterizations())
     w4, h4 = RESOLUTIONS["4K"]
     out.append(characterize("vp9_decode_4k", decoder_functions(w4, h4, 100)))
     wh, hh = RESOLUTIONS["HD"]

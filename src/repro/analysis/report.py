@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.analysis.base import FigureResult
@@ -31,6 +32,7 @@ from repro.analysis.tensorflow_figures import (
     fig06_tf_energy,
     fig07_tf_time,
     fig19_tf_pim,
+    regeneration_scope,
 )
 from repro.analysis.video_figures import (
     fig10_sw_decoder_energy,
@@ -143,17 +145,22 @@ def _all_results(
                 if journal is not None:
                     journal.append(name, result.to_jsonable())
 
-            values, failures = ResilientMap(
-                _run_experiment,
-                pending,
-                names=[EXPERIMENTS[i].__name__ for i in pending],
-                policy=retry_policy,
-                jobs=min(jobs, len(pending)),
-                on_success=on_success,
-                raise_failures=retry_policy is None,
-                pool_factory=pool_factory,
-                span="analysis.figure.%s",
-            ).run()
+            workers = min(jobs, len(pending))
+            # A serial run shares each network's characterization among
+            # the figures; parallel workers compute their own.
+            scope = regeneration_scope() if workers <= 1 else nullcontext()
+            with scope:
+                values, failures = ResilientMap(
+                    _run_experiment,
+                    pending,
+                    names=[EXPERIMENTS[i].__name__ for i in pending],
+                    policy=retry_policy,
+                    jobs=workers,
+                    on_success=on_success,
+                    raise_failures=retry_policy is None,
+                    pool_factory=pool_factory,
+                    span="analysis.figure.%s",
+                ).run()
             failed = {f.target: f for f in failures}
             for index, result in zip(pending, values):
                 name = EXPERIMENTS[index].__name__

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 from repro.analysis.base import FigureResult
 from repro.core.runner import ExperimentRunner
-from repro.core.workload import characterize
+from repro.core.workload import WorkloadCharacterization, characterize
 from repro.workloads.tensorflow.models import all_models
 from repro.workloads.tensorflow.network import network_functions
 from repro.workloads.tensorflow.targets import (
@@ -12,17 +15,49 @@ from repro.workloads.tensorflow.targets import (
     tensorflow_pim_targets,
 )
 
+#: The open regeneration scope's shared results, or None outside one.
+_SCOPE: ContextVar[dict | None] = ContextVar("repro_regeneration_scope", default=None)
 
-def fig06_tf_energy() -> FigureResult:
-    """Figure 6: inference energy breakdown by function, four networks."""
+
+@contextmanager
+def regeneration_scope():
+    """Share the network characterizations among the figures run inside.
+
+    :func:`repro.analysis.report.all_results` opens one around a serial
+    regeneration, so Figures 6, 7 and the headline characterize each
+    network once between them.  The scope is a context variable reset
+    on exit: nothing outlives the block, and code outside it (a
+    standalone figure, a pool or fleet worker) computes its own.
+    """
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def network_characterizations() -> tuple[WorkloadCharacterization, ...]:
+    """CPU-Only characterization of every network, in paper order."""
+    scope = _SCOPE.get()
+    if scope is not None and "networks" in scope:
+        return scope["networks"]
+    networks = tuple(
+        characterize(net.name, network_functions(net)) for net in all_models()
+    )
+    if scope is not None:
+        scope["networks"] = networks
+    return networks
+
+
+def _breakdown_rows(networks, shares_of) -> tuple[list[dict], list[float]]:
+    """Per-network bucket shares, and each network's packing+quantization."""
     rows = []
     pq = []
-    for net in all_models():
-        ch = characterize(net.name, network_functions(net))
-        shares = ch.energy_shares()
+    for ch in networks:
+        shares = shares_of(ch)
         rows.append(
             {
-                "network": net.name,
+                "network": ch.workload,
                 "packing": shares["packing"],
                 "quantization": shares["quantization"],
                 "conv2d_matmul": shares["conv2d_matmul"],
@@ -30,11 +65,15 @@ def fig06_tf_energy() -> FigureResult:
             }
         )
         pq.append(shares["packing"] + shares["quantization"])
-    ch_resnet = characterize("ResNet-V2-152", network_functions(all_models()[0]))
-    movement = [
-        characterize(n.name, network_functions(n)).data_movement_fraction
-        for n in all_models()
-    ]
+    return rows, pq
+
+
+def fig06_tf_energy() -> FigureResult:
+    """Figure 6: inference energy breakdown by function, four networks."""
+    networks = network_characterizations()
+    rows, pq = _breakdown_rows(networks, WorkloadCharacterization.energy_shares)
+    resnet = {ch.workload: ch for ch in networks}["ResNet-V2-152"]
+    movement = [ch.data_movement_fraction for ch in networks]
     return FigureResult(
         figure_id="Figure 6",
         title="TensorFlow Mobile energy breakdown by function",
@@ -47,7 +86,7 @@ def fig06_tf_energy() -> FigureResult:
             ),
             "ResNet quantization energy share": (
                 0.161,
-                ch_resnet.energy_share("quantization"),
+                resnet.energy_share("quantization"),
             ),
         },
     )
@@ -55,21 +94,9 @@ def fig06_tf_energy() -> FigureResult:
 
 def fig07_tf_time() -> FigureResult:
     """Figure 7: inference execution-time breakdown."""
-    rows = []
-    pq = []
-    for net in all_models():
-        ch = characterize(net.name, network_functions(net))
-        shares = ch.time_shares()
-        rows.append(
-            {
-                "network": net.name,
-                "packing": shares["packing"],
-                "quantization": shares["quantization"],
-                "conv2d_matmul": shares["conv2d_matmul"],
-                "other": shares["other"],
-            }
-        )
-        pq.append(shares["packing"] + shares["quantization"])
+    rows, pq = _breakdown_rows(
+        network_characterizations(), WorkloadCharacterization.time_shares
+    )
     return FigureResult(
         figure_id="Figure 7",
         title="TensorFlow Mobile execution-time breakdown",

@@ -143,6 +143,53 @@ class KernelProfile:
             pim_bytes=self.pim_bytes + other.pim_bytes,
         )
 
+    @staticmethod
+    def total(profiles: list["KernelProfile"], name: str) -> "KernelProfile":
+        """Profile for ``profiles`` run back to back, named ``name``.
+
+        Bit-identical to folding the list left to right with
+        :meth:`merged` (``reduce(lambda a, b: a.merged(b, name=name),
+        profiles)``): the same float sums in the same order, the same
+        op-weighted SIMD fraction, but one validated profile instead of
+        one per step.  A one-element list returns its element unchanged.
+        """
+        if not profiles:
+            raise ValueError("no profiles to total for %r" % name)
+        first = profiles[0]
+        if len(profiles) == 1:
+            return first
+        instructions = first.instructions
+        mem_instructions = first.mem_instructions
+        alu_ops = first.alu_ops
+        simd_fraction = first.simd_fraction
+        l1_misses = first.l1_misses
+        llc_misses = first.llc_misses
+        dram_bytes = first.dram_bytes
+        working_set_bytes = first.working_set_bytes
+        pim_bytes = first.pim_bytes
+        for p in profiles[1:]:
+            instructions = instructions + p.instructions
+            mem_instructions = mem_instructions + p.mem_instructions
+            simd_fraction = _weighted(simd_fraction, alu_ops, p.simd_fraction, p.alu_ops)
+            alu_ops = alu_ops + p.alu_ops
+            l1_misses = l1_misses + p.l1_misses
+            llc_misses = llc_misses + p.llc_misses
+            dram_bytes = dram_bytes + p.dram_bytes
+            working_set_bytes = max(working_set_bytes, p.working_set_bytes)
+            pim_bytes = pim_bytes + p.pim_bytes
+        return KernelProfile(
+            name=name,
+            instructions=instructions,
+            mem_instructions=mem_instructions,
+            alu_ops=alu_ops,
+            simd_fraction=simd_fraction,
+            l1_misses=l1_misses,
+            llc_misses=llc_misses,
+            dram_bytes=dram_bytes,
+            working_set_bytes=working_set_bytes,
+            pim_bytes=pim_bytes,
+        )
+
     # ------------------------------------------------------------------
     # Analytic constructors for the common locality classes
     # ------------------------------------------------------------------

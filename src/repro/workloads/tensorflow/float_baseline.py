@@ -58,12 +58,11 @@ def profile_float_gemm(m: int, k: int, n: int, soc: SocConfig | None = None) -> 
 
 def float_functions(network: Network) -> list[WorkloadFunction]:
     """The float32 inference decomposition: GEMMs + element-wise glue."""
-    gemm = None
+    soc = SocConfig()
+    gemm = []
     other_elements = 0.0
     for layer in network.layers:
-        m, k, n = layer.gemm_dims
-        lg = profile_float_gemm(m, k, n)
-        gemm = lg if gemm is None else gemm.merged(lg, name="float_gemm")
+        gemm.append(profile_float_gemm(*layer.gemm_dims, soc=soc))
         other_elements += layer.output_elements
     other = KernelProfile.streaming(
         name="other",
@@ -73,7 +72,10 @@ def float_functions(network: Network) -> list[WorkloadFunction]:
         instruction_overhead=0.2,
         simd_fraction=0.5,
     )
-    return [WorkloadFunction("float_gemm", gemm), WorkloadFunction("other", other)]
+    return [
+        WorkloadFunction("float_gemm", KernelProfile.total(gemm, "float_gemm")),
+        WorkloadFunction("other", other),
+    ]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import SocConfig
 from repro.core.offload import OffloadEngine
 from repro.workloads.tensorflow.gemm import profile_gemm
 from repro.workloads.tensorflow.network import Network
@@ -51,10 +52,11 @@ def layer_reports(
     """Characterize every layer of ``network`` on the CPU."""
     engine = engine or OffloadEngine()
     cpu = engine.cpu_model
+    soc = SocConfig()
     reports = []
     for layer in network.layers:
         m, k, n = layer.gemm_dims
-        gemm = cpu.run(profile_gemm(m, k, n))
+        gemm = cpu.run(profile_gemm(m, k, n, soc=soc))
         overhead_profile = (
             profile_packing(float(m * k + k * n))
             .merged(profile_unpacking(float(m * n)), name="overhead")

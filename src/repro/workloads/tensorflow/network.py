@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import SocConfig
 from repro.core.workload import WorkloadFunction
+from repro.obs.recorder import get_recorder
 from repro.sim.profile import KernelProfile
 from repro.workloads.tensorflow.gemm import profile_gemm, quantized_gemm
 from repro.workloads.tensorflow.packing import (
@@ -242,6 +244,22 @@ def infer(network: Network, x: np.ndarray, rng: np.random.Generator | None = Non
 # ----------------------------------------------------------------------
 # Analytic path (Figures 6/7)
 # ----------------------------------------------------------------------
+def layer_packing(layer) -> KernelProfile:
+    """gemmlowp pack of both GEMM operands plus unpack of the result."""
+    m, k, n = layer.gemm_dims
+    return profile_packing(float(m * k + k * n)).merged(
+        profile_unpacking(float(m * n)), name="packing"
+    )
+
+
+def layer_quantization(layer) -> KernelProfile:
+    """Input quantization plus result requantization of one layer."""
+    m, k, n = layer.gemm_dims
+    return profile_quantization(float(layer.input_elements)).merged(
+        profile_requantization(float(m * n)), name="quantization"
+    )
+
+
 def network_functions(network: Network) -> list[WorkloadFunction]:
     """Decompose one inference into the paper's four buckets.
 
@@ -251,53 +269,43 @@ def network_functions(network: Network) -> list[WorkloadFunction]:
     = the GEMM kernels; Other = activation functions, pooling, and
     element-wise glue (each <1% individually).
     """
-    pack_profile = None
-    quant_profile = None
-    gemm_profile = None
-    other_elements = 0.0
-    for layer in network.layers:
-        m, k, n = layer.gemm_dims
-        lp = profile_packing(float(m * k + k * n)).merged(
-            profile_unpacking(float(m * n)), name="packing"
-        )
-        lq = profile_quantization(float(layer.input_elements)).merged(
-            profile_requantization(float(m * n)), name="quantization"
-        )
-        lg = profile_gemm(m, k, n)
-        pack_profile = lp if pack_profile is None else pack_profile.merged(lp, name="packing")
-        quant_profile = (
-            lq if quant_profile is None else quant_profile.merged(lq, name="quantization")
-        )
-        gemm_profile = (
-            lg if gemm_profile is None else gemm_profile.merged(lg, name="conv2d_matmul")
-        )
-        other_elements += layer.output_elements
-    if pack_profile is None:
+    if not network.layers:
         raise ValueError("network %s has no layers" % network.name)
-    # Other: bias add, batch norm, ReLU, pooling, residual adds -- about
-    # four element-wise passes over each layer's activations.
-    other = KernelProfile.streaming(
-        name="other",
-        bytes_read=other_elements * 4.0,
-        bytes_written=other_elements * 4.0,
-        ops_per_byte=1.0,
-        instruction_overhead=0.3,
-        simd_fraction=0.5,
-        notes="bias/BN/ReLU/pool/residual element-wise glue",
-    )
-    return [
-        WorkloadFunction(
-            "packing",
-            pack_profile,
-            accelerator_key="packing",
-            invocations=max(len(network.layers), 1),
-        ),
-        WorkloadFunction(
-            "quantization",
-            quant_profile,
-            accelerator_key="quantization",
-            invocations=max(2 * network.num_conv2d, 1),
-        ),
-        WorkloadFunction("conv2d_matmul", gemm_profile),
-        WorkloadFunction("other", other),
-    ]
+    with get_recorder().span("workloads.network_functions"):
+        soc = SocConfig()
+        packing, quantization, gemm = [], [], []
+        other_elements = 0.0
+        for layer in network.layers:
+            packing.append(layer_packing(layer))
+            quantization.append(layer_quantization(layer))
+            gemm.append(profile_gemm(*layer.gemm_dims, soc=soc))
+            other_elements += layer.output_elements
+        # Other: bias add, batch norm, ReLU, pooling, residual adds --
+        # about four element-wise passes over each layer's activations.
+        other = KernelProfile.streaming(
+            name="other",
+            bytes_read=other_elements * 4.0,
+            bytes_written=other_elements * 4.0,
+            ops_per_byte=1.0,
+            instruction_overhead=0.3,
+            simd_fraction=0.5,
+            notes="bias/BN/ReLU/pool/residual element-wise glue",
+        )
+        return [
+            WorkloadFunction(
+                "packing",
+                KernelProfile.total(packing, "packing"),
+                accelerator_key="packing",
+                invocations=len(network.layers),
+            ),
+            WorkloadFunction(
+                "quantization",
+                KernelProfile.total(quantization, "quantization"),
+                accelerator_key="quantization",
+                invocations=max(2 * network.num_conv2d, 1),
+            ),
+            WorkloadFunction(
+                "conv2d_matmul", KernelProfile.total(gemm, "conv2d_matmul")
+            ),
+            WorkloadFunction("other", other),
+        ]

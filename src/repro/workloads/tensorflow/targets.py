@@ -16,9 +16,14 @@ from repro.config import SystemConfig
 from repro.core.offload import OffloadEngine
 from repro.core.target import PimTarget
 from repro.energy.components import EnergyParameters
+from repro.sim.profile import KernelProfile
 from repro.workloads.tensorflow.gemm import profile_gemm
 from repro.workloads.tensorflow.models import all_models
-from repro.workloads.tensorflow.network import Network
+from repro.workloads.tensorflow.network import (
+    Network,
+    layer_packing,
+    layer_quantization,
+)
 from repro.workloads.tensorflow.packing import profile_packing, profile_unpacking
 from repro.workloads.tensorflow.quantization import (
     profile_quantization,
@@ -33,16 +38,12 @@ def top_gemm_layers(network: Network, count: int = 4) -> list:
 
 def packing_target(network: Network, layer_count: int = 4) -> PimTarget:
     """Packing/unpacking for the top ``layer_count`` GEMMs of a network."""
-    profile = None
-    for layer in top_gemm_layers(network, layer_count):
-        m, k, n = layer.gemm_dims
-        lp = profile_packing(float(m * k + k * n)).merged(
-            profile_unpacking(float(m * n)), name="packing"
-        )
-        profile = lp if profile is None else profile.merged(lp, name="packing")
+    layers = top_gemm_layers(network, layer_count)
     return PimTarget(
         name="packing",
-        profile=profile,
+        profile=KernelProfile.total(
+            [layer_packing(layer) for layer in layers], "packing"
+        ),
         accelerator_key="packing",
         invocations=layer_count,
         workload="tensorflow:%s" % network.name,
@@ -51,16 +52,12 @@ def packing_target(network: Network, layer_count: int = 4) -> PimTarget:
 
 def quantization_target(network: Network, layer_count: int = 4) -> PimTarget:
     """Quantize+requantize for the top ``layer_count`` GEMMs of a network."""
-    profile = None
-    for layer in top_gemm_layers(network, layer_count):
-        m, k, n = layer.gemm_dims
-        lq = profile_quantization(float(layer.input_elements)).merged(
-            profile_requantization(float(m * n)), name="quantization"
-        )
-        profile = lq if profile is None else profile.merged(lq, name="quantization")
+    layers = top_gemm_layers(network, layer_count)
     return PimTarget(
         name="quantization",
-        profile=profile,
+        profile=KernelProfile.total(
+            [layer_quantization(layer) for layer in layers], "quantization"
+        ),
         accelerator_key="quantization",
         invocations=2 * layer_count,
         workload="tensorflow:%s" % network.name,
@@ -68,35 +65,30 @@ def quantization_target(network: Network, layer_count: int = 4) -> PimTarget:
 
 
 def tensorflow_pim_targets(networks: list[Network] | None = None) -> list[PimTarget]:
-    """Packing + quantization targets aggregated over the four networks."""
+    """Packing + quantization targets aggregated over the four networks.
+
+    Each network's top GEMMs are totalled first and the networks after,
+    in that nesting: float addition is not associative.
+    """
     networks = networks or all_models()
-    targets = []
-    pack = None
-    quant = None
-    for net in networks:
-        p = packing_target(net).profile
-        q = quantization_target(net).profile
-        pack = p if pack is None else pack.merged(p, name="packing")
-        quant = q if quant is None else quant.merged(q, name="quantization")
-    targets.append(
+    pack = [packing_target(net).profile for net in networks]
+    quant = [quantization_target(net).profile for net in networks]
+    return [
         PimTarget(
             name="packing",
-            profile=pack,
+            profile=KernelProfile.total(pack, "packing"),
             accelerator_key="packing",
             invocations=4 * len(networks),
             workload="tensorflow",
-        )
-    )
-    targets.append(
+        ),
         PimTarget(
             name="quantization",
-            profile=quant,
+            profile=KernelProfile.total(quant, "quantization"),
             accelerator_key="quantization",
             invocations=8 * len(networks),
             workload="tensorflow",
-        )
-    )
-    return targets
+        ),
+    ]
 
 
 # ----------------------------------------------------------------------

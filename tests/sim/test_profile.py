@@ -1,5 +1,8 @@
 """Unit + property tests for KernelProfile."""
 
+from dataclasses import fields
+from functools import reduce
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -129,3 +132,53 @@ class TestCombinators:
         assert ab.instructions == pytest.approx(ba.instructions)
         assert ab.dram_bytes == pytest.approx(ba.dram_bytes)
         assert ab.simd_fraction == pytest.approx(ba.simd_fraction)
+
+
+counts = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
+    st.integers(min_value=0, max_value=10**9),
+)
+
+
+@st.composite
+def profiles(draw):
+    """Valid profiles: zero ALU ops, int or float counts, explicit or
+    defaulted ``pim_bytes``."""
+    mem = draw(counts)
+    return KernelProfile(
+        name=draw(st.sampled_from(["a", "b", "c"])),
+        instructions=mem + draw(counts),
+        mem_instructions=mem,
+        alu_ops=draw(counts),
+        simd_fraction=draw(st.floats(min_value=0.0, max_value=1.0)),
+        l1_misses=draw(counts),
+        llc_misses=draw(counts),
+        dram_bytes=draw(counts),
+        working_set_bytes=draw(counts),
+        pim_bytes=draw(st.one_of(st.just(-1.0), counts)),
+        notes=draw(st.sampled_from(["", "kept"])),
+    )
+
+
+class TestTotal:
+    @given(ps=st.lists(profiles(), min_size=1, max_size=12))
+    def test_total_is_the_merged_fold_bit_for_bit(self, ps):
+        folded = reduce(lambda a, b: a.merged(b, name="sum"), ps)
+        total = KernelProfile.total(ps, "sum")
+        for f in fields(KernelProfile):
+            assert getattr(total, f.name) == getattr(folded, f.name), f.name
+            assert type(getattr(total, f.name)) is type(getattr(folded, f.name))
+
+    def test_zero_alu_ops_weights_simd_to_zero(self):
+        a = KernelProfile("a", 10, 1, 0, simd_fraction=1.0)
+        b = KernelProfile("b", 10, 1, 0, simd_fraction=0.5)
+        assert KernelProfile.total([a, b], "ab").simd_fraction == 0.0
+
+    def test_one_profile_is_returned_unchanged(self):
+        p = KernelProfile.streaming("k", 1000, 1000, ops_per_byte=1.0)
+        assert KernelProfile.total([p], "renamed") is p
+
+    def test_no_profiles_rejected(self):
+        with pytest.raises(ValueError):
+            KernelProfile.total([], "empty")
